@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import cheby, chvar, ncrewrite
+from . import cheby, ncrewrite
 from .fixtures import (
     ManifestError,
     emit_fixture_templates,
@@ -403,14 +403,17 @@ def _random_trace_t(rng: random.Random, t: complex):
 
 
 def _fricke_max_residual(seed: int, trials: int) -> float:
+    """Largest |f| over `trials` random triples, spread over 10 trace
+    values; the first `trials % 10` of them get one triple more."""
     import numpy as np
+
+    from . import chvar
 
     rng = random.Random(f"{seed}:fricke")
     worst = 0.0
-    per_t = max(1, trials // 10)
-    for _ in range(10):
+    for k in range(10):
         t = _sample_t(rng)
-        for _ in range(per_t):
+        for _ in range(trials // 10 + (k < trials % 10)):
             a1, a2, a3 = (_random_trace_t(rng, t) for _ in range(3))
             value = chvar.fricke_f(
                 complex(np.trace(a1 @ a2)),
@@ -430,6 +433,8 @@ def _scan_once(
     b_samples: int,
     n_max: int,
 ):
+    from . import chvar
+
     rng = random.Random(seed_token)
     grid = [_sample_b(rng, t) for _ in range(b_samples)]
     return chvar.nonvanishing_scan(tangles, t, grid, n_max)
@@ -618,6 +623,8 @@ def _parse_tangles(text: str) -> Tuple[Union[complex, Tuple[int, int]], ...]:
 
 def _cmd_chvar(args: argparse.Namespace) -> int:
     if args.action == "fricke":
+        if args.trials < 1:
+            raise ConfigError("--trials must be at least 1")
         worst = _fricke_max_residual(args.seed, args.trials)
         ok = worst < 1e-8
         print(f"trials={args.trials} max_abs_f={worst:.3e}")

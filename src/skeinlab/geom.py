@@ -1,23 +1,26 @@
-"""Exact rational plane geometry for polyline diagrams.
+"""Exact plane geometry of polyline diagrams on the holed disc.
 
-All predicates work over `fractions.Fraction`, so intersection
-classification, clearance tests, and winding counts are exact: there are
-no epsilon thresholds anywhere in the diagram pipeline.
+The disc's holes are centred at (1,0) .. (n,0), radius `HOLE_RADIUS`.
+`find_crossings` validates closed rational polylines and finds their
+crossings on a per-diagram integer grid; the other predicates work over
+`fractions.Fraction`.  Everything is exact: there are no epsilon
+thresholds anywhere in the diagram pipeline.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
+Branch = Tuple[int, int, Fraction]  # (polyline index, segment index, parameter)
 
-POINT = "point"
-OVERLAP = "overlap"
+HOLE_RADIUS = Fraction(1, 4)
 
 
-def as_point(x: object, y: object) -> Point:
-    return (Fraction(x), Fraction(y))
+class DiagramError(ValueError):
+    """Malformed or geometrically invalid diagram input."""
 
 
 def sub(a: Point, b: Point) -> Point:
@@ -28,69 +31,158 @@ def cross(u: Point, v: Point) -> Fraction:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def dot(u: Point, v: Point) -> Fraction:
-    return u[0] * v[0] + u[1] * v[1]
+def fmt_point(p: Point) -> str:
+    return f"({p[0]},{p[1]})"
 
 
-def lerp(a: Point, b: Point, t: Fraction) -> Point:
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+def find_crossings(
+    n_holes: int, polylines: Sequence[Sequence[Point]], ids: Sequence[str]
+) -> List[Tuple[Point, Branch, Branch]]:
+    """Validate a diagram on the disc with `n_holes` holes and return its
+    crossings sorted by point, without over/under data.
 
-
-def segment_intersection(
-    a: Point, b: Point, c: Point, d: Point
-) -> Optional[Tuple[str, Optional[Point], Optional[Fraction], Optional[Fraction]]]:
-    """Classify the contact between closed segments [a,b] and [c,d].
-
-    Returns None when disjoint, ("point", p, t, u) for a single shared
-    point p = a + t(b-a) = c + u(d-c), or ("overlap", None, None, None)
-    when the segments are collinear and share a sub-segment of positive
-    length.  Zero-length segments are rejected.
+    Every test runs on Python ints: the diagram is scaled once by the LCM
+    of its coordinate denominators and of the hole radius's, so that the
+    radius is whole too, and the predicates stay exact without a gcd per
+    operation.  Fractions are built only for crossings and error messages,
+    from the original coordinates.
     """
-    r = sub(b, a)
-    s = sub(d, c)
-    rr = dot(r, r)
-    ss = dot(s, s)
-    if rr == 0 or ss == 0:
-        raise ValueError("degenerate zero-length segment")
-    denom = cross(r, s)
-    ac = sub(c, a)
-    if denom != 0:
-        t = cross(ac, s) / denom
-        u = cross(ac, r) / denom
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            return (POINT, lerp(a, b, t), t, u)
-        return None
-    if cross(ac, r) != 0:
-        return None
-    # Collinear: compare parameter intervals along [a,b].
-    t0 = dot(ac, r) / rr
-    t1 = t0 + dot(s, r) / rr
-    lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-    lo = max(lo, Fraction(0))
-    hi = min(hi, Fraction(1))
-    if lo > hi:
-        return None
-    if lo == hi:
-        p = lerp(a, b, lo)
-        u = dot(sub(p, c), s) / ss
-        return (POINT, p, lo, u)
-    return (OVERLAP, None, None, None)
+    if len(ids) != len(polylines):
+        raise DiagramError("curve id list does not match polyline list")
+    if len(set(ids)) != len(ids):
+        raise DiagramError("duplicate curve id")
+    scale = math.lcm(
+        HOLE_RADIUS.denominator, *{c.denominator for poly in polylines for p in poly for c in p}
+    )
+    # One entry per edge: curve, edge index, scaled start x, y, scaled end x, y.
+    segs: List[Tuple[int, int, int, int, int, int]] = []
+    for pi, poly in enumerate(polylines):
+        n = len(poly)
+        if n < 3:
+            raise DiagramError(f"curve '{ids[pi]}' needs at least 3 vertices")
+        grid = [
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in poly
+        ]
+        for si in range(n):
+            a, b = grid[si], grid[(si + 1) % n]
+            if a == b:
+                raise DiagramError(
+                    f"curve '{ids[pi]}' has a zero-length edge at {fmt_point(poly[si])}"
+                )
+            segs.append((pi, si, a[0], a[1], b[0], b[1]))
 
+    def edge(pi: int, si: int) -> Tuple[Point, Point]:
+        poly = polylines[pi]
+        return poly[si], poly[(si + 1) % len(poly)]
 
-def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:
-    """Squared distance from p to the closed segment [a,b]."""
-    r = sub(b, a)
-    rr = dot(r, r)
-    if rr == 0:
-        d = sub(p, a)
-        return dot(d, d)
-    t = dot(sub(p, a), r) / rr
-    if t < 0:
-        t = Fraction(0)
-    elif t > 1:
-        t = Fraction(1)
-    d = sub(p, lerp(a, b, t))
-    return dot(d, d)
+    # Hole clearance: the squared distance from each centre (h*scale, 0)
+    # to the edge must exceed radius^2, the projection's division
+    # multiplied out.  Only holes within the edge's box widened by the
+    # radius can fail.
+    radius = scale * HOLE_RADIUS.numerator // HOLE_RADIUS.denominator
+    radius2 = radius * radius
+    for pi, si, ax, ay, bx, by in segs:
+        if min(ay, by) > radius or max(ay, by) < -radius:
+            continue
+        rx, ry = bx - ax, by - ay
+        rr = rx * rx + ry * ry
+        first = max(1, -((radius - min(ax, bx)) // scale))
+        last = min(n_holes, (max(ax, bx) + radius) // scale)
+        for hole in range(first, last + 1):
+            px, py = hole * scale - ax, -ay
+            along = px * rx + py * ry
+            if along <= 0:
+                near = px * px + py * py <= radius2
+            elif along >= rr:
+                near = (px - rx) ** 2 + (py - ry) ** 2 <= radius2
+            else:
+                c = px * ry - py * rx
+                near = c * c <= radius2 * rr
+            if near:
+                a, b = edge(pi, si)
+                raise DiagramError(
+                    f"curve '{ids[pi]}' meets hole {hole}: edge "
+                    f"{fmt_point(a)}-{fmt_point(b)}"
+                )
+    # Sweep the edges' closed boxes in order of left end; every pair
+    # whose boxes meet (endpoint contacts included) is a candidate.
+    boxes = sorted(
+        (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), k)
+        for k, (_, _, ax, ay, bx, by) in enumerate(segs)
+    )
+    pairs: List[Tuple[int, int]] = []
+    active: List[Tuple[int, int, int, int, int]] = []
+    for box in boxes:
+        x0, _, y0, y1, k = box
+        active = [other for other in active if other[1] >= x0]
+        for other in active:
+            if other[2] <= y1 and y0 <= other[3]:
+                pairs.append((other[4], k) if other[4] < k else (k, other[4]))
+        active.append(box)
+    # Classifying in edge-pair order raises the first defect in that order.
+    pairs.sort()
+    contacts: List[Tuple[Point, Branch, Branch]] = []
+    for idx1, idx2 in pairs:
+        p1, s1, ax, ay, bx, by = segs[idx1]
+        p2, s2, cx, cy, dx, dy = segs[idx2]
+        adjacent = p1 == p2 and s2 - s1 in (1, len(polylines[p1]) - 1)
+        rx, ry = bx - ax, by - ay
+        sx, sy = dx - cx, dy - cy
+        qx, qy = cx - ax, cy - ay
+        denom = rx * sy - ry * sx
+        if denom:
+            # Contact at a + t(b-a) = c + u(d-c), t = tn/denom, u = un/denom.
+            tn = qx * sy - qy * sx
+            un = qx * ry - qy * rx
+            if denom < 0:
+                denom, tn, un = -denom, -tn, -un
+            # Consecutive edges that are not parallel meet only at their joint.
+            if not (0 <= tn <= denom and 0 <= un <= denom) or adjacent:
+                continue
+            a, b = edge(p1, s1)
+            t = Fraction(tn, denom)
+            pt = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+            if not (0 < tn < denom and 0 < un < denom):
+                raise DiagramError(
+                    f"non-transverse contact between '{ids[p1]}' and '{ids[p2]}' "
+                    f"at {fmt_point(pt)}"
+                )
+            contacts.append((pt, (p1, s1, t), (p2, s2, Fraction(un, denom))))
+            continue
+        if qx * ry - qy * rx:
+            continue  # parallel, not collinear
+        # Collinear: compare the parameter intervals along [a,b], scaled by |b-a|^2.
+        rr = rx * rx + ry * ry
+        t0 = qx * rx + qy * ry
+        t1 = t0 + sx * rx + sy * ry
+        lo, hi = max(min(t0, t1), 0), min(max(t0, t1), rr)
+        if lo > hi:
+            continue
+        if lo == hi:
+            # A single shared point, which is an end of [a,b].
+            if adjacent:
+                continue
+            a, b = edge(p1, s1)
+            raise DiagramError(
+                f"non-transverse contact between '{ids[p1]}' and '{ids[p2]}' "
+                f"at {fmt_point(a if lo == 0 else b)}"
+            )
+        c = edge(p2, s2)[0]
+        if adjacent:
+            raise DiagramError(
+                f"curve '{ids[p1]}' doubles back along itself near {fmt_point(c)}"
+            )
+        raise DiagramError(
+            f"collinear overlap between '{ids[p1]}' and '{ids[p2]}' near {fmt_point(c)}"
+        )
+    seen = set()
+    for pt, _, _ in contacts:
+        if pt in seen:
+            raise DiagramError(f"triple point at {fmt_point(pt)}")
+        seen.add(pt)
+    contacts.sort(key=lambda c: c[0])
+    return contacts
 
 
 def winding_contribution(a: Point, b: Point, center: Point) -> int:

@@ -66,9 +66,6 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {0: 1}
-
     def min_exponent(self) -> int:
         if not self.terms:
             raise ValueError("zero scalar has no exponents")

@@ -6,7 +6,7 @@ and classifies every resulting embedded loop by the set of holes it
 encloses, producing an element of the free module on laminar multicurves.
 `multiply` stacks diagrams (first factor on top) and resolves.
 
-All geometry is exact (`fractions.Fraction`); scalars live in the
+All geometry is exact (see :mod:`skeinlab.geom`); scalars live in the
 half-integer Laurent ring of :mod:`skeinlab.ring`.
 """
 
@@ -18,12 +18,13 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .geom import (
-    OVERLAP,
-    POINT,
+    HOLE_RADIUS,
+    Branch,
+    DiagramError,
     Point,
     cross,
-    point_segment_dist2,
-    segment_intersection,
+    find_crossings,
+    fmt_point,
     sub,
     winding_contribution,
 )
@@ -32,8 +33,6 @@ from .ring import Laurent, ONE
 Component = Tuple[int, ...]
 Multicurve = Tuple[Component, ...]
 
-HOLE_RADIUS = Fraction(1, 4)
-_RADIUS2 = HOLE_RADIUS * HOLE_RADIUS
 # Value of a null-homotopic loop: -(q + q^{-1}).
 MINUS_ALPHA = Laurent({2: -1, -2: -1})
 
@@ -42,10 +41,6 @@ _PIN = Fraction(5, 16)
 _HALF = Fraction(1, 2)
 
 DEFAULT_STATE_CAP = 24
-
-
-class DiagramError(ValueError):
-    """Malformed or geometrically invalid diagram input."""
 
 
 @dataclass(frozen=True)
@@ -190,117 +185,11 @@ class SkeinElement:
 # ---------------------------------------------------------------------------
 # Diagrams
 
-Branch = Tuple[int, int, Fraction]  # (polyline index, segment index, parameter)
-
-
 @dataclass(frozen=True)
 class Crossing:
     point: Point
     branches: Tuple[Branch, Branch]
     over_branch: int  # index into `branches`
-
-
-def _segments(poly: Sequence[Point]) -> List[Tuple[Point, Point]]:
-    return [(poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))]
-
-
-def _fmt_point(p: Point) -> str:
-    return f"({p[0]},{p[1]})"
-
-
-def _find_crossings(
-    board: Board, polylines: Sequence[Sequence[Point]], ids: Sequence[str]
-) -> List[Tuple[Point, Branch, Branch]]:
-    """Validate geometry and return raw crossings (unsorted over data)."""
-    if len(ids) != len(polylines):
-        raise DiagramError("curve id list does not match polyline list")
-    if len(set(ids)) != len(ids):
-        raise DiagramError("duplicate curve id")
-    for pi, poly in enumerate(polylines):
-        if len(poly) < 3:
-            raise DiagramError(f"curve '{ids[pi]}' needs at least 3 vertices")
-        for a, b in _segments(poly):
-            if a == b:
-                raise DiagramError(
-                    f"curve '{ids[pi]}' has a zero-length edge at {_fmt_point(a)}"
-                )
-    # Hole clearance, exact: squared distance must exceed (1/4)^2.
-    for pi, poly in enumerate(polylines):
-        for a, b in _segments(poly):
-            x0, x1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-            y0, y1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-            for hole, center in enumerate(board.centers(), start=1):
-                cx, cy = center
-                if (
-                    x0 > cx + HOLE_RADIUS
-                    or x1 < cx - HOLE_RADIUS
-                    or y0 > cy + HOLE_RADIUS
-                    or y1 < cy - HOLE_RADIUS
-                ):
-                    continue
-                if point_segment_dist2(center, a, b) <= _RADIUS2:
-                    raise DiagramError(
-                        f"curve '{ids[pi]}' meets hole {hole}: edge "
-                        f"{_fmt_point(a)}-{_fmt_point(b)}"
-                    )
-    segs = [
-        (pi, si, a, b)
-        for pi, poly in enumerate(polylines)
-        for si, (a, b) in enumerate(_segments(poly))
-    ]
-    boxes = []
-    for _, _, a, b in segs:
-        x0, x1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-        y0, y1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-        boxes.append((x0, x1, y0, y1))
-    contacts: List[Tuple[Point, Branch, Branch]] = []
-    for idx1 in range(len(segs)):
-        p1, s1, a1, b1 = segs[idx1]
-        bx = boxes[idx1]
-        for idx2 in range(idx1 + 1, len(segs)):
-            by = boxes[idx2]
-            # Closed-box overlap keeps endpoint contacts for the checks below.
-            if bx[1] < by[0] or by[1] < bx[0] or bx[3] < by[2] or by[3] < bx[2]:
-                continue
-            p2, s2, a2, b2 = segs[idx2]
-            hit = segment_intersection(a1, b1, a2, b2)
-            if hit is None:
-                continue
-            kind, pt, t, u = hit
-            if p1 == p2:
-                n = len(polylines[p1])
-                adjacent = (s2 - s1) % n == 1 or (s1 - s2) % n == 1
-                if adjacent:
-                    # Consecutive edges may only share their joint vertex.
-                    if kind == OVERLAP:
-                        raise DiagramError(
-                            f"curve '{ids[p1]}' doubles back along itself near "
-                            f"{_fmt_point(a2)}"
-                        )
-                    joint = a2 if (s2 - s1) % n == 1 else a1
-                    if pt != joint:
-                        raise DiagramError(
-                            f"curve '{ids[p1]}' touches itself at {_fmt_point(pt)}"
-                        )
-                    continue
-            if kind == OVERLAP:
-                raise DiagramError(
-                    f"collinear overlap between '{ids[p1]}' and '{ids[p2]}' near "
-                    f"{_fmt_point(a2)}"
-                )
-            if not (0 < t < 1 and 0 < u < 1):
-                raise DiagramError(
-                    f"non-transverse contact between '{ids[p1]}' and '{ids[p2]}' "
-                    f"at {_fmt_point(pt)}"
-                )
-            contacts.append((pt, (p1, s1, t), (p2, s2, u)))
-    seen: Dict[Point, Tuple[Branch, Branch]] = {}
-    for pt, br1, br2 in contacts:
-        if pt in seen:
-            raise DiagramError(f"triple point at {_fmt_point(pt)}")
-        seen[pt] = (br1, br2)
-    contacts.sort(key=lambda c: c[0])
-    return contacts
 
 
 class Diagram:
@@ -324,7 +213,16 @@ class Diagram:
         if ids is None:
             ids = [f"c{i}" for i in range(len(polylines))]
         polys = [tuple(p) for p in polylines]
-        contacts = _find_crossings(board, polys, ids)
+        self._build(board, polys, ids, find_crossings(board.n_holes, polys, ids), over_tokens)
+
+    def _build(
+        self,
+        board: Board,
+        polys: Sequence[Tuple[Point, ...]],
+        ids: Sequence[str],
+        contacts: Sequence[Tuple[Point, Branch, Branch]],
+        over_tokens: Sequence[str],
+    ) -> None:
         if len(over_tokens) != len(contacts):
             raise DiagramError(
                 f"crossing count mismatch: diagram has {len(contacts)} crossings, "
@@ -349,7 +247,7 @@ class Diagram:
             name = ids[br1[0]]
             if token not in (name + "+", name + "-"):
                 raise DiagramError(
-                    f"self-crossing of '{name}' at {_fmt_point(pt)} needs token "
+                    f"self-crossing of '{name}' at {fmt_point(pt)} needs token "
                     f"'{name}+' or '{name}-', got '{token}'"
                 )
             g1 = br1[1] + br1[2]
@@ -363,7 +261,7 @@ class Diagram:
         if token == ids[br2[0]]:
             return 1
         raise DiagramError(
-            f"over token '{token}' at {_fmt_point(pt)} names neither "
+            f"over token '{token}' at {fmt_point(pt)} names neither "
             f"'{ids[br1[0]]}' nor '{ids[br2[0]]}'"
         )
 
@@ -377,7 +275,7 @@ class Diagram:
     ) -> "Diagram":
         """Build a diagram choosing the over branch programmatically."""
         polys = [tuple(p) for p in polylines]
-        contacts = _find_crossings(board, polys, ids)
+        contacts = find_crossings(board.n_holes, polys, ids)
         tokens: List[str] = []
         for pt, br1, br2 in contacts:
             which = over_of(pt, br1, br2)
@@ -388,7 +286,9 @@ class Diagram:
                 tokens.append(ids[br1[0]] + ("-" if lower else "+"))
             else:
                 tokens.append(ids[(br1 if which == 0 else br2)[0]])
-        return cls(board, polys, tokens, ids)
+        d = cls.__new__(cls)
+        d._build(board, polys, ids, contacts, tokens)
+        return d
 
     def __repr__(self) -> str:
         return (
@@ -903,7 +803,7 @@ def stacking_diagram(ma: Multicurve, mb: Multicurve, board: Board) -> Diagram:
             second_is_a = br2[0] < n_a
             if first_is_a == second_is_a:
                 raise DiagramError(
-                    f"stacking overlay self-contact at {_fmt_point(pt)}"
+                    f"stacking overlay self-contact at {fmt_point(pt)}"
                 )
             return 0 if first_is_a else 1
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from skeinlab import chvar
 from skeinlab.cli import ConfigError, main, parse_config
 from skeinlab.skein import Board, canonical_diagram, render_diagram
 
@@ -96,6 +97,36 @@ def test_chvar_fricke_cli(capsys):
     out = capsys.readouterr().out
     assert "max_abs_f=" in out
     assert out.strip().endswith("result: PASS")
+
+
+@pytest.mark.parametrize("trials", [25, 7])
+def test_chvar_fricke_runs_requested_trials(trials, capsys, monkeypatch):
+    calls = []
+    original = chvar.fricke_f
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(chvar, "fricke_f", counted)
+    assert main(["chvar", "fricke", "--trials", str(trials)]) == 0
+    assert capsys.readouterr().out.startswith(f"trials={trials} ")
+    assert len(calls) == trials
+
+
+def test_chvar_fricke_rejects_empty_trial_count(capsys):
+    assert main(["chvar", "fricke", "--trials", "0"]) == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, skeinlab.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_chvar_scan_cli_deterministic(capsys):

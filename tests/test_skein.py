@@ -4,23 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     all_laminar_multisets,
+    fraction_find_crossings,
     naive_epsilon,
     naive_resolve,
     naive_specialized_resolve,
+    point_segment_dist2,
     r1_kinked,
     r2_poked,
     random_diagrams,
     random_unimodular,
+    segment_intersection,
     spans_interleave,
 )
-from skeinlab.geom import (
-    point_segment_dist2,
-    segment_intersection,
-    winding_contribution,
-)
+from skeinlab.geom import find_crossings, winding_contribution
 from skeinlab.ring import Laurent
 from skeinlab.skein import (
     MINUS_ALPHA,
@@ -230,6 +231,68 @@ def test_geometry_validation_errors():
             ],
             [],
         )
+
+
+# Points on a half-unit lattice make shared vertices, collinear overlaps,
+# T-contacts and edges through hole centres common; free rationals make
+# transverse crossings at awkward parameters.
+_LATTICE = st.integers(-2, 12).map(lambda k: F(k, 2))
+_COORD = st.one_of(_LATTICE, st.builds(F, st.integers(-60, 360), st.integers(50, 60)))
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@st.composite
+def _polylines(draw):
+    """One to three closed polylines; some put their first edge through a
+    shared centre, so that three of them make a triple point."""
+    cx, cy = draw(st.tuples(_LATTICE, _LATTICE))
+    polylines = []
+    for _ in range(draw(st.integers(1, 3))):
+        poly = draw(st.lists(_POINT, min_size=3, max_size=7))
+        if draw(st.booleans()):
+            vx, vy = draw(_POINT)
+            poly[:2] = [(cx - vx, cy - vy), (cx + vx, cy + vy)]
+        polylines.append(poly)
+    return polylines
+
+
+def _crossings_or_error(find, n_holes, polylines):
+    ids = [f"c{i}" for i in range(len(polylines))]
+    try:
+        return find(n_holes, polylines, ids)
+    except DiagramError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_holes=st.integers(0, 5), polylines=_polylines())
+# An edge tangent to hole 1 from above, and one tangent at its right end.
+@example(n_holes=1, polylines=[[(F(0), F(1, 4)), (F(2), F(1, 4)), (F(2), F(1))]])
+@example(n_holes=2, polylines=[[(F(5, 4), F(-1)), (F(5, 4), F(1)), (F(3), F(1))]])
+# Edges starting and ending on hole 1's rim.
+@example(n_holes=1, polylines=[[(F(5, 4), F(0)), (F(2), F(1)), (F(2), F(-1))]])
+@example(n_holes=1, polylines=[[(F(2), F(-1)), (F(5, 4), F(0)), (F(2), F(1))]])
+# The closing edge continues the first one straight through vertex 0.
+@example(n_holes=0, polylines=[[(F(1), F(0)), (F(2), F(0)), (F(2), F(2)), (F(0), F(0))]])
+def test_find_crossings_matches_fraction_reference(n_holes, polylines):
+    assert _crossings_or_error(find_crossings, n_holes, polylines) == _crossings_or_error(
+        fraction_find_crossings, n_holes, polylines
+    )
+
+
+def test_find_crossings_exact_on_large_coprime_denominators():
+    board = Board(5)
+    da = canonical_diagram([(1, 2, 3), (4,)], board)
+    db = canonical_diagram([(3, 4, 5), (2,)], board)
+    cx, cy = F(1, 2), F(1, 3)
+    scale = (1 + F(1, 1097)) * (1 + F(1, 1093))
+    polylines = list(da.polylines) + [
+        [(cx + scale * (x - cx), cy + scale * (y - cy)) for x, y in poly]
+        for poly in db.polylines
+    ]
+    found = _crossings_or_error(find_crossings, 5, polylines)
+    assert isinstance(found, list) and len(found) >= 4
+    assert found == _crossings_or_error(fraction_find_crossings, 5, polylines)
 
 
 def test_over_token_errors():
