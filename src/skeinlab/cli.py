@@ -21,9 +21,7 @@ import cmath
 import math
 import random
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -39,6 +37,7 @@ from .skein import (
     Board,
     DiagramError,
     SkeinElement,
+    _m2_mul,
     canonical_diagram,
     epsilon_of_element,
     is_laminar,
@@ -162,11 +161,6 @@ def _timed(suite: str, name: str, check: Callable[[], Tuple[str, str]]) -> Suite
     return SuiteItem(suite, name, status, detail, time.perf_counter() - start)
 
 
-# the symbolic caches in cheby/ncrewrite are grown in place, so the two
-# suites that touch them are serialized against each other
-_SYMBOLIC_LOCK = threading.Lock()
-
-
 # ---------------------------------------------------------------------------
 # Suites
 
@@ -198,11 +192,7 @@ def _cheby_identity_checks(max_n: int) -> List[Tuple[str, Callable[[], Tuple[str
 
 
 def _cheby_suite(max_n: int) -> List[SuiteItem]:
-    with _SYMBOLIC_LOCK:
-        return [
-            _timed("cheby", name, check)
-            for name, check in _cheby_identity_checks(max_n)
-        ]
+    return [_timed("cheby", name, check) for name, check in _cheby_identity_checks(max_n)]
 
 
 def _ncrewrite_suite(max_n: int) -> List[SuiteItem]:
@@ -238,8 +228,7 @@ def _ncrewrite_suite(max_n: int) -> List[SuiteItem]:
         ("e_n_derivation", e_n_derivation),
         ("mutation_detected", mutation_detected),
     ]
-    with _SYMBOLIC_LOCK:
-        return [_timed("ncrewrite", name, check) for name, check in checks]
+    return [_timed("ncrewrite", name, check) for name, check in checks]
 
 
 def _random_laminar(rng: random.Random, n_holes: int, max_comps: int) -> Tuple[Tuple[int, ...], ...]:
@@ -257,22 +246,11 @@ def _random_sl2_int(rng: random.Random) -> Tuple[Tuple[int, int], Tuple[int, int
     for _ in range(rng.randint(2, 5)):
         k = rng.randint(-3, 3)
         e = ((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1))
-        m = (
-            (
-                m[0][0] * e[0][0] + m[0][1] * e[1][0],
-                m[0][0] * e[0][1] + m[0][1] * e[1][1],
-            ),
-            (
-                m[1][0] * e[0][0] + m[1][1] * e[1][0],
-                m[1][0] * e[0][1] + m[1][1] * e[1][1],
-            ),
-        )
+        m = _m2_mul(m, e)
     return m
 
 
 def _skein_suite(seed: int, state_cap: int, fixture_dir: str) -> List[SuiteItem]:
-    items: List[SuiteItem] = []
-
     def roundtrip() -> Tuple[str, str]:
         rng = random.Random(f"{seed}:skein-roundtrip")
         board = Board(3)
@@ -330,7 +308,7 @@ def _skein_suite(seed: int, state_cap: int, fixture_dir: str) -> List[SuiteItem]
         ("strand_slide", strand_slide),
         ("epsilon_factorization", epsilon_factorization),
     ]
-    items.extend(_timed("skein", name, check) for name, check in checks)
+    items = [_timed("skein", name, check) for name, check in checks]
 
     manifest = Path(fixture_dir) / "manifest.txt"
     if manifest.is_file():
@@ -348,17 +326,10 @@ def _skein_suite(seed: int, state_cap: int, fixture_dir: str) -> List[SuiteItem]
                 )
             )
         else:
-            elapsed = time.perf_counter() - start
-            for result in results:
-                items.append(
-                    SuiteItem(
-                        "skein",
-                        f"fixture {result.name}",
-                        result.status,
-                        result.detail,
-                        elapsed / max(1, len(results)),
-                    )
-                )
+            items.extend(
+                SuiteItem("skein", f"fixture {r.name}", r.status, r.detail, r.seconds)
+                for r in results
+            )
     else:
         items.append(
             SuiteItem(
@@ -488,32 +459,16 @@ def _chvar_suite(seed: int, t_samples: int, b_samples: int, n_max: int) -> List[
 
 
 def run_all(config: Dict[str, Union[int, str]]) -> VerificationReport:
-    """Run every suite concurrently and assemble a deterministic report."""
+    """Run every suite in turn and assemble the report in suite order."""
     seed = int(config["seed"])
     max_n = int(config["max_n"])
     scan_n_max = min(16, max_n)
-    jobs: List[Tuple[str, Callable[[], List[SuiteItem]]]] = [
-        ("cheby", lambda: _cheby_suite(max_n)),
-        ("ncrewrite", lambda: _ncrewrite_suite(max_n)),
-        (
-            "skein",
-            lambda: _skein_suite(
-                seed, int(config["state_cap"]), str(config["fixture_dir"])
-            ),
-        ),
-        (
-            "chvar",
-            lambda: _chvar_suite(
-                seed, int(config["t_samples"]), int(config["b_samples"]), scan_n_max
-            ),
-        ),
-    ]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        futures = [(name, pool.submit(job)) for name, job in jobs]
-        results = [future.result() for _, future in futures]
-    items: List[SuiteItem] = []
-    for chunk in results:
-        items.extend(chunk)
+    items = (
+        _cheby_suite(max_n)
+        + _ncrewrite_suite(max_n)
+        + _skein_suite(seed, int(config["state_cap"]), str(config["fixture_dir"]))
+        + _chvar_suite(seed, int(config["t_samples"]), int(config["b_samples"]), scan_n_max)
+    )
     return VerificationReport(seed, tuple(items))
 
 

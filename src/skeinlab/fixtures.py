@@ -12,16 +12,18 @@ shipped templates can be filled in one diagram at a time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ring import Laurent
+from .ring import ONE, Laurent
 from .skein import Diagram, DiagramError, parse_diagram, verify_skein_identity
 
 __all__ = [
     "FixtureResult",
     "FixtureSpec",
+    "MAX_ALPHA_POWER",
     "ManifestError",
     "UNFILLED_MARKER",
     "emit_fixture_templates",
@@ -32,6 +34,10 @@ __all__ = [
 ]
 
 UNFILLED_MARKER = "unfilled"
+
+# Largest power of alpha one scalar term may carry.  alpha^k expands to
+# k + 1 terms, so an unbounded exponent would hang the parser.
+MAX_ALPHA_POWER = 64
 
 
 class ManifestError(ValueError):
@@ -51,6 +57,7 @@ class FixtureResult:
     name: str
     status: str  # PASS, FAIL, or SKIPPED
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)  # wall time of this check
 
     def render(self) -> str:
         if self.detail:
@@ -68,21 +75,26 @@ _TERM_RE = re.compile(rf"([+-]?)({_FACTOR_PATTERN}(?:\*{_FACTOR_PATTERN})*)")
 _ALPHA = Laurent({2: 1, -2: 1})
 
 
-def _scalar_factor(token: str) -> Laurent:
+class _AlphaPowerError(ValueError):
+    """A term's power of alpha exceeds `MAX_ALPHA_POWER`."""
+
+
+def _scalar_factor(token: str) -> Tuple[Laurent, int]:
+    """Value of one factor, with any power of alpha returned unexpanded."""
     if token.isdigit():
-        return Laurent.integer(int(token))
+        return Laurent.integer(int(token)), 0
     name, _, exp = token.partition("^")
     k = int(exp) if exp else 1
     if name == "q":
-        return Laurent.q_power(k)
+        return Laurent.q_power(k), 0
     if name == "qbar":
-        return Laurent.q_power(-k)
+        return Laurent.q_power(-k), 0
     if name == "h":
-        return Laurent.h_power(k)
+        return Laurent.h_power(k), 0
     if name == "alpha":
         if k < 0:
             raise ValueError("alpha has no negative powers")
-        return _ALPHA ** k
+        return ONE, k
     raise ValueError(f"unknown factor {token!r}")
 
 
@@ -95,9 +107,14 @@ def _friendly_scalar(s: str) -> Laurent:
         if m is None or (not first and not m.group(1)):
             raise ValueError(f"bad term at offset {pos}")
         term = Laurent.integer(-1 if m.group(1) == "-" else 1)
+        alpha_power = 0
         for token in m.group(2).split("*"):
-            term = term * _scalar_factor(token)
-        total = total + term
+            factor, k = _scalar_factor(token)
+            term = term * factor
+            alpha_power += k
+        if alpha_power > MAX_ALPHA_POWER:
+            raise _AlphaPowerError(f"alpha power {alpha_power} exceeds the limit {MAX_ALPHA_POWER}")
+        total = total + term * _ALPHA ** alpha_power
         pos = m.end()
         first = False
     if first:
@@ -114,6 +131,8 @@ def parse_scalar(text: str) -> Laurent:
         raise ValueError("empty scalar")
     try:
         return _friendly_scalar(s)
+    except _AlphaPowerError:
+        raise
     except ValueError:
         try:
             return Laurent.parse(s)
@@ -246,7 +265,12 @@ def verify_fixture_dir(path: "str | Path") -> List[FixtureResult]:
     manifest = root / "manifest.txt"
     if not manifest.is_file():
         raise ManifestError(f"no manifest.txt in {root}")
-    return [_verify_one(root, spec) for spec in parse_manifest(manifest.read_text())]
+    results = []
+    for spec in parse_manifest(manifest.read_text()):
+        start = time.perf_counter()
+        result = _verify_one(root, spec)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results
 
 
 # ---------------------------------------------------------------------------

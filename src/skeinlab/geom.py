@@ -2,19 +2,23 @@
 
 The disc's holes are centred at (1,0) .. (n,0), radius `HOLE_RADIUS`.
 `find_crossings` validates closed rational polylines and finds their
-crossings on a per-diagram integer grid; the other predicates work over
-`fractions.Fraction`.  Everything is exact: there are no epsilon
-thresholds anywhere in the diagram pipeline.
+crossings on a per-diagram integer grid; `ray_events` gives a polyline's
+winding data on its own grid, which `loop_winding` and `arc_winding` sum.
+Everything is exact: there are no epsilon thresholds anywhere in the
+diagram pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 Branch = Tuple[int, int, Fraction]  # (polyline index, segment index, parameter)
+# (edge index, +1 upward or -1 downward, k): the edge crosses the
+# rightward rays from the centres of holes 1..k.
+RayEvent = Tuple[int, int, int]
 
 HOLE_RADIUS = Fraction(1, 4)
 
@@ -185,20 +189,65 @@ def find_crossings(
     return contacts
 
 
-def winding_contribution(a: Point, b: Point, center: Point) -> int:
-    """Crossing count of the directed segment a->b with the rightward
-    horizontal ray from center, signed by direction.
+def ray_events(n_holes: int, poly: Sequence[Point]) -> Tuple[RayEvent, ...]:
+    """Ray events of a closed polyline, on the integer grid of its own
+    coordinate denominators.  An edge a->b crosses y = 0 upward when
+    y_a <= 0 < y_b and downward when y_b <= 0 < y_a; by this half-open
+    rule a closed polyline's events sum to its winding numbers.  Every
+    centre (h, 0) lies on y = 0, so the edge crosses the rightward rays of
+    the holes 1..k left of its x-intercept: k is one floor division."""
+    scale = math.lcm(*{c.denominator for p in poly for c in p})
+    grid = [
+        (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+        for x, y in poly
+    ]
+    events: List[RayEvent] = []
+    for si, ((ax, ay), (bx, by)) in enumerate(zip(grid, grid[1:] + grid[:1])):
+        if (ay <= 0) == (by <= 0):
+            continue
+        # Hole h lies left of the intercept (ax*dy - ay*dx) / dy when
+        # h*scale*dy < ax*dy - ay*dx, taking dy > 0.
+        dx, dy = bx - ax, by - ay
+        num = ax * dy - ay * dx
+        if dy < 0:
+            num, dy = -num, -dy
+        k = min(n_holes, (num - 1) // (scale * dy))
+        if k > 0:
+            events.append((si, 1 if ay <= 0 else -1, k))
+    return tuple(events)
 
-    Half-open rule (y_start <= cy < y_end counts as upward): summing over
-    the edges of any closed polyline yields its exact winding number about
-    center, provided no vertex or edge lies on the ray endpoint itself.
-    """
-    cx, cy = center
-    (x1, y1), (x2, y2) = a, b
-    if y1 <= cy < y2:
-        x = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
-        return 1 if x > cx else 0
-    if y2 <= cy < y1:
-        x = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
-        return -1 if x > cx else 0
-    return 0
+
+def loop_winding(events: Iterable[RayEvent], n_holes: int) -> Tuple[int, ...]:
+    """Winding numbers about holes 1..n_holes summed from ray events; for
+    all the events of a closed polyline, its winding numbers."""
+    w = [0] * n_holes
+    for _, d, k in events:
+        for h in range(k):
+            w[h] += d
+    return tuple(w)
+
+
+def arc_winding(
+    events: Sequence[RayEvent],
+    n_holes: int,
+    start: Tuple[Fraction, Fraction],
+    end: Tuple[Fraction, Fraction],
+) -> Tuple[int, ...]:
+    """Winding numbers of the path forward along a closed polyline, whose
+    ray events these are, from point `start` to point `end`.
+
+    A point is (g, y): edge index plus edge parameter, and ordinate.  The
+    path passes vertex 0 when end's g is not above start's, so equal points
+    give the whole loop.  On a point's edge, the half-open rule puts the
+    event in the part whose y range, closed below, contains 0: before the
+    point when y <= 0 on a downward edge or y > 0 on an upward one."""
+
+    def before(event: RayEvent, point: Tuple[Fraction, Fraction]) -> bool:
+        si = int(point[0])
+        return event[0] < si or (event[0] == si and (point[1].numerator <= 0) != (event[1] > 0))
+
+    if start[0] < end[0]:
+        picked = [e for e in events if before(e, end) and not before(e, start)]
+    else:
+        picked = [e for e in events if before(e, end) or not before(e, start)]
+    return loop_winding(picked, n_holes)

@@ -22,11 +22,13 @@ from .geom import (
     Branch,
     DiagramError,
     Point,
+    arc_winding,
     cross,
     find_crossings,
     fmt_point,
+    loop_winding,
+    ray_events,
     sub,
-    winding_contribution,
 )
 from .ring import Laurent, ONE
 
@@ -399,32 +401,11 @@ class _Arc:
     winding: Tuple[int, ...]
 
 
-def _branch_point(polylines, br: Branch) -> Point:
-    poly = polylines[br[0]]
-    a = poly[br[1]]
-    b = poly[(br[1] + 1) % len(poly)]
-    t = br[2]
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-
-
 def _branch_direction(polylines, br: Branch) -> Point:
     poly = polylines[br[0]]
     a = poly[br[1]]
     b = poly[(br[1] + 1) % len(poly)]
     return sub(b, a)
-
-
-def _path_winding(pts: Sequence[Point], centers: Sequence[Point]) -> Tuple[int, ...]:
-    out = [0] * len(centers)
-    for i in range(len(pts) - 1):
-        for h, c in enumerate(centers):
-            out[h] += winding_contribution(pts[i], pts[i + 1], c)
-    return tuple(out)
-
-
-def _loop_winding_closed(poly: Sequence[Point], centers: Sequence[Point]) -> Tuple[int, ...]:
-    pts = list(poly) + [poly[0]]
-    return _path_winding(pts, centers)
 
 
 def _classify_windings(w: Sequence[int]) -> Component:
@@ -474,11 +455,10 @@ def _resolve_component(
     state_cap: int,
 ) -> Dict[Multicurve, Laurent]:
     """State sum over one crossing-connected group of polylines."""
-    centers = d.board.centers()
+    n_holes = d.board.n_holes
     if not cross_ids:
         (pi,) = polys
-        w = _loop_winding_closed(d.polylines[pi], centers)
-        comp = _classify_windings(w)
+        comp = _classify_windings(loop_winding(ray_events(n_holes, d.polylines[pi]), n_holes))
         if comp:
             return {(comp,): ONE}
         return {(): MINUS_ALPHA}
@@ -498,25 +478,16 @@ def _resolve_component(
     arcs: List[_Arc] = []
     for pi in polys:
         ps = sorted(passages[pi])
-        poly = d.polylines[pi]
-        n = len(poly)
+        events = ray_events(n_holes, d.polylines[pi])
         for i, (g1, k1, b1) in enumerate(ps):
             g2, k2, b2 = ps[(i + 1) % len(ps)]
-            p_start = _branch_point(d.polylines, d.crossings[k1].branches[b1])
-            p_end = _branch_point(d.polylines, d.crossings[k2].branches[b2])
-            dist = (g2 - g1) % n
-            if dist == 0:
-                dist = Fraction(n)
-            first_vertex = int(g1) + 1
-            last_vertex = int(g1 + dist)
-            pts = [p_start]
-            pts.extend(poly[v % n] for v in range(first_vertex, last_vertex + 1))
-            pts.append(p_end)
+            start = (g1, d.crossings[k1].point[1])
+            end = (g2, d.crossings[k2].point[1])
             arcs.append(
                 _Arc(
                     start=(k1, b1, _OUT),
                     end=(k2, b2, _IN),
-                    winding=_path_winding(pts, centers),
+                    winding=arc_winding(events, n_holes, start, end),
                 )
             )
 
@@ -533,7 +504,6 @@ def _resolve_component(
         d_under = _branch_direction(d.polylines, crossing.branches[1 - ob])
         pairings.append(_smoothing_pairs(d_over, d_under, k, ob))
 
-    n_holes = len(centers)
     out: Dict[Multicurve, Laurent] = {}
     for state in range(1 << c):
         partner: Dict[Port, Port] = {}

@@ -459,9 +459,10 @@ def random_diagrams(seed: int, count: int, max_holes: int = 3) -> List[Diagram]:
 
 
 # ---------------------------------------------------------------------------
-# Fraction geometry: the reference for the engine's integer crossing kernel.
+# Fraction geometry: the reference for the engine's integer kernels.
 # Every predicate divides in `Fraction` and compares all segment pairs, so
-# it shares no arithmetic and no candidate search with `geom.find_crossings`.
+# it shares no arithmetic and no candidate search with `geom.find_crossings`;
+# `winding_contribution` tests one edge against one hole's ray.
 
 POINT = "point"
 OVERLAP = "overlap"
@@ -530,6 +531,43 @@ def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:
         t = Fraction(1)
     d = sub(p, lerp(a, b, t))
     return dot(d, d)
+
+
+def winding_contribution(a: Point, b: Point, center: Point) -> int:
+    """Crossing count of the directed segment a->b with the rightward
+    horizontal ray from center, signed by direction.
+
+    Half-open rule (y_start <= cy < y_end counts as upward): summing over
+    the edges of any closed polyline yields its exact winding number about
+    center, provided no vertex or edge lies on the ray endpoint itself.
+    """
+    cx, cy = center
+    (x1, y1), (x2, y2) = a, b
+    if y1 <= cy < y2:
+        x = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
+        return 1 if x > cx else 0
+    if y2 <= cy < y1:
+        x = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
+        return -1 if x > cx else 0
+    return 0
+
+
+def path_winding(pts: Sequence[Point], n_holes: int) -> Tuple[int, ...]:
+    """Winding numbers about holes 1..n_holes of the path through `pts`,
+    summed edge by edge and hole by hole."""
+    return tuple(
+        sum(winding_contribution(a, b, (Fraction(h), Fraction(0))) for a, b in zip(pts, pts[1:]))
+        for h in range(1, n_holes + 1)
+    )
+
+
+def arc_points(poly: Sequence[Point], g1: Fraction, g2: Fraction) -> List[Point]:
+    """The path along closed `poly` from traversal parameter g1 forward to
+    g2, through vertex 0 when g2 <= g1, so equal parameters give a lap."""
+    n = len(poly)
+    dist = (g2 - g1) % n or Fraction(n)
+    inner = [poly[v % n] for v in range(int(g1) + 1, int(g1 + dist) + 1)]
+    return [_point_at(poly, g1), *inner, _point_at(poly, g2)]
 
 
 def _fmt(p: Point) -> str:

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -90,6 +92,21 @@ def test_fixture_emit_and_verify_cli(tmp_path, capsys):
     # re-emission without --force writes nothing new
     assert main(["fixtures", "emit", "--dir", str(target)]) == 0
     assert "wrote 0 files" in capsys.readouterr().out
+
+
+def test_verify_fixture_rejects_huge_alpha_power(tmp_path, capsys):
+    target = tmp_path / "fx"
+    assert main(["fixtures", "emit", "--dir", str(target)]) == 0
+    capsys.readouterr()
+    (target / "manifest.txt").write_text(
+        "fixture huge\nboard holes=1\nlhs alpha^1000000 : r2poked.diagram\n",
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    assert main(["skein", "verify-fixture", str(target)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "line 3" in err and "alpha power 1000000" in err
 
 
 def test_chvar_fricke_cli(capsys):
@@ -196,6 +213,24 @@ def test_verify_all_passes_and_is_deterministic(tmp_path, capsys):
     assert first.strip().endswith("result: PASS")
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_verify_all_timings_are_per_fixture(tmp_path, capsys):
+    fixtures = tmp_path / "fx"
+    assert main(["fixtures", "emit", "--dir", str(fixtures)]) == 0
+    capsys.readouterr()
+    config = _write_config(tmp_path, fixtures)
+    start = time.perf_counter()
+    assert main(["verify", "all", "--config", str(config), "--timings"]) == 0
+    wall = time.perf_counter() - start
+    times = [
+        float(t)
+        for t in re.findall(r"^skein\.fixture .*\[(\d+\.\d+)s\]$", capsys.readouterr().out, re.M)
+    ]
+    assert len(times) > 2
+    assert len(set(times)) > 1
+    # Each time is printed rounded to the millisecond.
+    assert sum(times) <= wall + 0.0005 * len(times)
 
 
 def test_verify_all_without_fixture_dir(tmp_path, capsys, monkeypatch):

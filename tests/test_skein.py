@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_laminar_multisets,
+    arc_points,
     fraction_find_crossings,
     naive_epsilon,
     naive_resolve,
     naive_specialized_resolve,
+    path_winding,
     point_segment_dist2,
     r1_kinked,
     r2_poked,
@@ -20,8 +22,9 @@ from oracles import (
     random_unimodular,
     segment_intersection,
     spans_interleave,
+    winding_contribution,
 )
-from skeinlab.geom import find_crossings, winding_contribution
+from skeinlab.geom import arc_winding, find_crossings, loop_winding, ray_events
 from skeinlab.ring import Laurent
 from skeinlab.skein import (
     MINUS_ALPHA,
@@ -293,6 +296,72 @@ def test_find_crossings_exact_on_large_coprime_denominators():
     found = _crossings_or_error(find_crossings, 5, polylines)
     assert isinstance(found, list) and len(found) >= 4
     assert found == _crossings_or_error(fraction_find_crossings, 5, polylines)
+
+
+# Parameters along an edge: midpoints of lattice edges lie on y = 0, and
+# the 1097ths are the stacking overlay's awkward denominators.
+_INNER_T = st.one_of(
+    st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]), st.builds(F, st.integers(1, 1096), st.just(1097))
+)
+
+
+@st.composite
+def _loop_and_points(draw):
+    """A closed polyline on 0-5 holes and one to three distinct points on
+    it, as sorted traversal parameters (edge index plus edge parameter)."""
+    n_holes = draw(st.integers(0, 5))
+    poly = draw(st.lists(_POINT, min_size=3, max_size=7))
+    g = st.builds(lambda s, t: s + t, st.integers(0, len(poly) - 1), _INNER_T)
+    return n_holes, poly, sorted(draw(st.lists(g, min_size=1, max_size=3, unique=True)))
+
+
+def _check_windings(n_holes, poly, gs):
+    events = ray_events(n_holes, poly)
+    assert loop_winding(events, n_holes) == path_winding([*poly, poly[0]], n_holes)
+    for g1, g2 in zip(gs, gs[1:] + gs[:1]):
+        pts = arc_points(poly, g1, g2)
+        found = arc_winding(events, n_holes, (g1, pts[0][1]), (g2, pts[-1][1]))
+        assert found == path_winding(pts, n_holes), (g1, g2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_loop_and_points())
+# A vertex on y = 0, then a vertical edge through hole 1's centre.
+@example(case=(2, [(F(3, 2), F(-1)), (F(3, 2), F(0)), (F(3, 2), F(1)), (F(-1), F(1))], [F(1, 2)]))
+@example(case=(2, [(F(1), F(-1)), (F(1), F(1)), (F(-1), F(1))], [F(1, 2), F(3, 2)]))
+# A horizontal edge on y = 0.
+@example(case=(3, [(F(0), F(0)), (F(5, 2), F(0)), (F(5, 2), F(1)), (F(0), F(1))], [F(5, 2)]))
+# Points with y = 0 on an upward and on a downward edge.
+@example(case=(3, rect(0, -1, 3, 1), [F(3, 2), F(7, 2)]))
+# Two points on one edge: either side of y = 0 on an upward and on a
+# downward edge, then both below it.
+@example(case=(3, rect(0, -1, 3, 1), [F(5, 4), F(7, 4)]))
+@example(case=(3, rect(0, -1, 3, 1), [F(13, 4), F(15, 4)]))
+@example(case=(3, rect(0, -1, 3, 1), [F(9, 8), F(11, 8)]))
+# One point: its arc wraps the whole loop.
+@example(case=(3, rect(0, -1, 3, 1), [F(5, 4)]))
+def test_winding_kernel_matches_fraction_reference(case):
+    n_holes, poly, gs = case
+    _check_windings(n_holes, poly, gs)
+
+
+def test_winding_kernel_on_overlay_crossings():
+    """The arcs between the crossings of a stacking overlay scaled by
+    1 + 1/1097, whose coordinates have large coprime denominators."""
+    board = Board(5)
+    da = canonical_diagram([(1, 2, 3), (4,)], board)
+    db = canonical_diagram([(3, 4, 5), (2,)], board)
+    cx, cy = F(1, 2), F(1, 3)
+    scale = 1 + F(1, 1097)
+    polylines = list(da.polylines) + [
+        [(cx + scale * (x - cx), cy + scale * (y - cy)) for x, y in poly]
+        for poly in db.polylines
+    ]
+    contacts = find_crossings(5, polylines, [f"c{i}" for i in range(len(polylines))])
+    assert len(contacts) >= 4
+    for pi, poly in enumerate(polylines):
+        gs = sorted(br[1] + br[2] for _, *branches in contacts for br in branches if br[0] == pi)
+        _check_windings(5, poly, gs)
 
 
 def test_over_token_errors():
