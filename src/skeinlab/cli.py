@@ -501,6 +501,8 @@ def _cmd_cheby(args: argparse.Namespace) -> int:
     if args.what != "verify":
         print(f"unknown cheby action {args.what!r}", file=sys.stderr)
         return 2
+    if args.max_n < 0:
+        raise ConfigError("--max-n must be at least 0")
     failed = False
     for name, check in _cheby_identity_checks(args.max_n):
         status, detail = check()
@@ -511,6 +513,8 @@ def _cmd_cheby(args: argparse.Namespace) -> int:
 
 
 def _cmd_ncverify(args: argparse.Namespace) -> int:
+    if args.max_n < 1:
+        raise ConfigError("--max-n must be at least 1")
     failed = False
     for n in range(1, args.max_n + 1):
         result = ncrewrite.verify_commute_many(n, route=args.route)
@@ -589,6 +593,10 @@ def _cmd_chvar(args: argparse.Namespace) -> int:
     tangles = _parse_tangles(args.tangles)
     if args.b_samples < 32:
         raise ConfigError("--b-samples must be at least 32")
+    if args.t_samples < 1:
+        raise ConfigError("--t-samples must be at least 1")
+    if args.n_max < 1:
+        raise ConfigError("--n-max must be at least 1")
     rng = random.Random(f"{args.seed}:chvar-t")
     print(
         f"# tangles={args.tangles} t_samples={args.t_samples} "

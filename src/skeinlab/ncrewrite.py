@@ -32,6 +32,7 @@ from .cheby import (
     qweighted_cosine,
 )
 from .ring import (
+    ONE,
     CPoly,
     Laurent,
     Q,
@@ -78,7 +79,7 @@ class NcAlgebraSpec:
                         f"rule for ({a}, {b}) is not order-decreasing at {word}"
                     )
             self.rules[(a, b)] = [(c, tuple(w)) for c, w in replacement]
-        self._nf_cache: Dict[Word, Dict[Word, Laurent]] = {}
+        self._products: Dict[Tuple[int, Word], Dict[Word, Laurent]] = {}
 
     def index(self, name: str) -> int:
         return self.generators.index(name)
@@ -91,53 +92,49 @@ class NcAlgebraSpec:
 
     # -- normalization ------------------------------------------------------
 
-    def normal_form_word(self, word: Word) -> Dict[Word, Laurent]:
-        """Memoized leftmost-innermost normal form of a single word."""
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        pos = -1
-        for i in range(len(word) - 1):
-            if (word[i], word[i + 1]) in self.rules:
-                pos = i
-                break
-        if pos < 0:
-            result = {word: Laurent.one()}
-        else:
-            prefix, suffix = word[:pos], word[pos + 2 :]
-            acc: Dict[Word, Laurent] = {}
-            for coeff, repl in self.rules[(word[pos], word[pos + 1])]:
-                for w, c in self.normal_form_word(prefix + repl + suffix).items():
-                    _accumulate(acc, w, coeff * c)
-            result = acc
-        self._nf_cache[word] = result
-        return result
-
-    def normal_form_word_rightmost(
+    def normal_form_word(
         self, word: Word, memo: Optional[Dict[Word, Dict[Word, Laurent]]] = None
     ) -> Dict[Word, Laurent]:
-        """Rightmost-first normal form, used to probe confluence."""
-        if memo is None:
-            memo = {}
-        cached = memo.get(word)
-        if cached is not None:
-            return cached
-        pos = -1
-        for i in range(len(word) - 2, -1, -1):
-            if (word[i], word[i + 1]) in self.rules:
-                pos = i
-                break
-        if pos < 0:
-            result: Dict[Word, Laurent] = {word: Laurent.one()}
-        else:
-            prefix, suffix = word[:pos], word[pos + 2 :]
-            result = {}
-            for coeff, repl in self.rules[(word[pos], word[pos + 1])]:
-                sub = self.normal_form_word_rightmost(prefix + repl + suffix, memo)
-                for w, c in sub.items():
-                    _accumulate(result, w, coeff * c)
-        memo[word] = result
-        return result
+        """Normal form of a single word, as g times the normal form of the
+        rest, built letter by letter from the right.
+
+        ``memo`` maps suffixes to their normal forms; pass one dict to
+        share suffixes between the words of one element.
+        """
+        memo = {} if memo is None else memo
+        memo.setdefault((), {(): ONE})
+        start = next(i for i in range(len(word) + 1) if word[i:] in memo)
+        nf = memo[word[start:]]
+        for i in range(start - 1, -1, -1):
+            nf = memo[word[i:]] = self._left_multiply(word[i], nf)
+        return nf
+
+    def _left_multiply(self, g: int, nf: Mapping[Word, Laurent]) -> Dict[Word, Laurent]:
+        """g times a combination of normal words, normalized."""
+        out: Dict[Word, Laurent] = {}
+        for v, c in nf.items():
+            for w, d in self._letter_times(g, v).items():
+                _accumulate(out, w, c * d)
+        return out
+
+    def _letter_times(self, g: int, v: Word) -> Mapping[Word, Laurent]:
+        """g times the normal word v.  Only the pair (g, v[0]) can be
+        reducible; its replacement is folded in from the right onto the
+        normal suffix v[1:].  Results of rule applications are memoized."""
+        rule = self.rules.get((g, v[0])) if v else None
+        if rule is None:
+            return {(g,) + v: ONE}
+        out = self._products.get((g, v))
+        if out is None:
+            out = {}
+            for coeff, repl in rule:
+                part: Mapping[Word, Laurent] = {v[1:]: ONE}
+                for letter in reversed(repl):
+                    part = self._left_multiply(letter, part)
+                for w, c in part.items():
+                    _accumulate(out, w, coeff * c)
+            self._products[(g, v)] = out
+        return out
 
 
 def _accumulate(acc: Dict[Word, Laurent], word: Word, coeff: Laurent) -> None:
@@ -216,16 +213,9 @@ class NcElement:
 
     def normalize(self) -> "NcElement":
         out: Dict[Word, Laurent] = {}
-        for word, coeff in self.terms.items():
-            for w, c in self.spec.normal_form_word(word).items():
-                _accumulate(out, w, coeff * c)
-        return NcElement(self.spec, out)
-
-    def normalize_rightmost(self) -> "NcElement":
-        out: Dict[Word, Laurent] = {}
         memo: Dict[Word, Dict[Word, Laurent]] = {}
         for word, coeff in self.terms.items():
-            for w, c in self.spec.normal_form_word_rightmost(word, memo).items():
+            for w, c in self.spec.normal_form_word(word, memo).items():
                 _accumulate(out, w, coeff * c)
         return NcElement(self.spec, out)
 
@@ -330,11 +320,6 @@ class Mat2Poly:
         diag = CPoly.constant(scale, VARS_X)
         zero = CPoly.zero(VARS_X)
         return cls(diag, zero, zero, diag)
-
-    def __add__(self, other: "Mat2Poly") -> "Mat2Poly":
-        return Mat2Poly(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
 
     def __sub__(self, other: "Mat2Poly") -> "Mat2Poly":
         return Mat2Poly(
@@ -471,37 +456,25 @@ def _commute_route_a(n: int, band: Laurent) -> CPoly:
     return term1 + term2 + term3
 
 
-def _poly_words(
-    spec: NcAlgebraSpec, poly: CPoly, before: Word, after: Word
-) -> Dict[Word, Laurent]:
-    """Words before + x^k + after for each term of a single-variable poly."""
-    x = spec.index("x")
-    out: Dict[Word, Laurent] = {}
-    for (k,), coeff in poly.terms.items():
-        _accumulate(out, before + (x,) * k + after, coeff)
-    return out
-
-
-def _commute_route_b(n: int, band: Laurent) -> NcElement:
-    """Residual inside the collar presentation; zero iff the identity holds."""
+def _route_b_input(n: int, band: Laurent) -> NcElement:
+    """The collar-presentation element whose normal form is the route b
+    residual; that residual is zero iff the identity holds.  Each block
+    spells a polynomial in x as the words before + x^k + after."""
     spec = collar_algebra()
-    t1 = (spec.index("t1"),)
-    l1 = (spec.index("l1"),)
-    c = (spec.index("c"),)
-    cp = (spec.index("cp"),)
-    terms: Dict[Word, Laurent] = {}
-    for w, co in _poly_words(spec, cheb_cosine(n), (), t1).items():
-        _accumulate(terms, w, co)
-    for w, co in _poly_words(spec, cheb_sine(n) * band, l1, ()).items():
-        _accumulate(terms, w, co)
+    t1, l1, c, cp, x = ((spec.index(g),) for g in ("t1", "l1", "c", "cp", "x"))
     bracket_c = (cheb_sine(n) * Laurent.q_power(n) + qdiff_sine_sum(n - 1)) * q_power_diff(n)
-    for w, co in _poly_words(spec, bracket_c, c, ()).items():
-        _accumulate(terms, w, co)
-    for w, co in _poly_words(spec, qdiff_sine_sum(n) * q_power_diff(n), cp, ()).items():
-        _accumulate(terms, w, co)
-    for w, co in _poly_words(spec, qweighted_cosine(n), t1, ()).items():
-        _accumulate(terms, w, -co)
-    return NcElement(spec, terms).normalize()
+    blocks = [
+        (cheb_cosine(n), (), t1),
+        (cheb_sine(n) * band, l1, ()),
+        (bracket_c, c, ()),
+        (qdiff_sine_sum(n) * q_power_diff(n), cp, ()),
+        (-qweighted_cosine(n), t1, ()),
+    ]
+    terms: Dict[Word, Laurent] = {}
+    for poly, before, after in blocks:
+        for (k,), coeff in poly.terms.items():
+            _accumulate(terms, before + x * k + after, coeff)
+    return NcElement(spec, terms)
 
 
 def verify_commute_many(
@@ -527,7 +500,7 @@ def verify_commute_many(
             names = [f"{v}^{e}" for v, e in zip(res_a.vars, mono) if e]
             residual = f"route a: ({coeff.render()})*{'*'.join(names) or '1'}"
     if route in ("b", "both"):
-        res_b = _commute_route_b(n, band)
+        res_b = _route_b_input(n, band).normalize()
         b_ok = res_b.is_zero()
         if not b_ok and residual is None:
             word, coeff = res_b.leading()

@@ -14,7 +14,7 @@ exact division routine used to verify divisibility identities.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -76,10 +76,14 @@ class Laurent:
             raise ValueError("zero scalar has no exponents")
         return max(self.terms)
 
-    def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(sorted(self.terms.items()))
-
     # -- ring operations --------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms: Dict[int, int]) -> "Laurent":
+        """Wrap a term map that already holds only nonzero int coefficients."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     def __add__(self, other: "Laurent | int") -> "Laurent":
         if not isinstance(other, (Laurent, int)):
@@ -92,12 +96,12 @@ class Laurent:
                 out[e] = nc
             else:
                 out.pop(e, None)
-        return Laurent(out)
+        return Laurent._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self.terms.items()})
+        return Laurent._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Laurent | int") -> "Laurent":
         if not isinstance(other, (Laurent, int)):
@@ -113,6 +117,14 @@ class Laurent:
         if not isinstance(other, (Laurent, int)):
             return NotImplemented
         other = _as_laurent(other)
+        # A one-term factor only shifts exponents and scales coefficients;
+        # the term order stays the general loop's (self outer, other inner).
+        if len(other.terms) == 1:
+            (e2, c2), = other.terms.items()
+            return Laurent._of({e1 + e2: c1 * c2 for e1, c1 in self.terms.items()})
+        if len(self.terms) == 1:
+            (e1, c1), = self.terms.items()
+            return Laurent._of({e1 + e2: c1 * c2 for e2, c2 in other.terms.items()})
         out: Dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -122,7 +134,7 @@ class Laurent:
                     out[e] = nc
                 else:
                     out.pop(e, None)
-        return Laurent(out)
+        return Laurent._of(out)
 
     __rmul__ = __mul__
 
@@ -146,6 +158,8 @@ class Laurent:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        if self.terms.keys() <= {0}:  # equal to an int, so hash as that int
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:

@@ -59,6 +59,21 @@ def test_ncverify_cli(capsys):
     assert out.strip().endswith("result: PASS")
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_ncverify_rejects_empty_degree_range(max_n, capsys):
+    assert main(["ncverify", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-n must be at least 1" in captured.err
+
+
+def test_cheby_rejects_negative_degree(capsys):
+    assert main(["cheby", "verify", "--max-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-n must be at least 0" in captured.err
+
+
 def test_skein_resolve_and_multiply(tmp_path, capsys):
     board = Board(1)
     text = render_diagram(canonical_diagram(((1,),), board))
@@ -172,6 +187,20 @@ def test_chvar_scan_rejects_small_grid(capsys):
     argv = ["chvar", "scan", "--t-samples", "1", "--b-samples", "8"]
     assert main(argv) == 2
     assert "at least 32" in capsys.readouterr().err
+
+
+def test_chvar_scan_rejects_empty_sample_count(capsys):
+    assert main(["chvar", "scan", "--t-samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--t-samples must be at least 1" in captured.err
+
+
+def test_chvar_scan_rejects_empty_degree_range_before_output(capsys):
+    assert main(["chvar", "scan", "--n-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-max must be at least 1" in captured.err
 
 
 def test_chvar_scan_rejects_bad_tangles(capsys):

@@ -1,14 +1,20 @@
 """Tests for the rewriting engine, the matrix lemma, and the element
 derivations."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nc_oracles import normalize_rightmost, walk_normalize
 from skeinlab.ncrewrite import (
     Mat2Poly,
     NcAlgebraSpec,
     NcElement,
+    _band_coefficient,
+    _route_b_input,
     collar_algebra,
     derive_e_n,
     exterior_algebra,
@@ -75,7 +81,74 @@ def test_confluence_leftmost_vs_rightmost() -> None:
     for spec in (collar_algebra(), exterior_algebra()):
         for _ in range(60):
             elem = random_element(rng, spec)
-            assert elem.normalize() == elem.normalize_rightmost()
+            assert elem.normalize() == normalize_rightmost(elem)
+
+
+def _exterior_confluent(word) -> bool:
+    # The exterior presentation leaves x*l1p free, so x*r*l1p has two
+    # normal forms (r*x*l1p and x*l1p*r).  With at most one x and no l1p
+    # after it, no x can ever stand left of an l1p and every walk agrees.
+    ext = exterior_algebra()
+    x, l1p = ext.index("x"), ext.index("l1p")
+    return x not in word or (word.count(x) == 1 and l1p not in word[word.index(x) :])
+
+
+@st.composite
+def spec_elements(draw, spec: NcAlgebraSpec, max_len: int = 6) -> NcElement:
+    words = st.lists(st.integers(0, len(spec.generators) - 1), max_size=max_len).map(tuple)
+    if spec is exterior_algebra():
+        words = words.filter(_exterior_confluent)
+    scalars = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=3)
+    terms = draw(st.dictionaries(words, scalars.map(Laurent), min_size=1, max_size=4))
+    return NcElement(spec, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_normalize_matches_both_reference_walkers(data) -> None:
+    for spec in (collar_algebra(), exterior_algebra()):
+        elem = data.draw(spec_elements(spec))
+        nf = elem.normalize()
+        assert nf == walk_normalize(elem)
+        assert nf == walk_normalize(elem, rightmost=True)
+
+
+def test_exterior_presentation_is_not_confluent_at_x_r_l1p() -> None:
+    ext = exterior_algebra()
+    elem = NcElement(ext, {ext.word("x", "r", "l1p"): Laurent.one()})
+    leftmost = walk_normalize(elem)
+    rightmost = walk_normalize(elem, rightmost=True)
+    assert leftmost.terms == {ext.word("r", "x", "l1p"): Laurent.one()}
+    assert rightmost.terms == {ext.word("x", "l1p", "r"): Laurent.one()}
+
+
+def test_normalize_matches_reference_walkers_on_route_b() -> None:
+    for n in range(1, 13):
+        for mutate in (False, True):
+            elem = _route_b_input(n, _band_coefficient(n, mutate))
+            nf = elem.normalize()
+            assert nf == walk_normalize(elem), f"n={n} mutate={mutate}"
+            assert nf == walk_normalize(elem, rightmost=True), f"n={n} mutate={mutate}"
+            assert nf.is_zero() != mutate
+
+
+def test_route_b_retains_bounded_memory() -> None:
+    # Normalizing the route b element keeps only the (letter, normal word)
+    # products of rule applications, about 0.1 MB here.  A whole-word memo
+    # holds about 6 MB, and a suffix memo kept across calls about 1 MB.
+    verify_commute_many(24, route="a")  # fill the Chebyshev caches first
+    collar_algebra.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert verify_commute_many(24, route="b").ok
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        collar_algebra.cache_clear()
+    assert retained < 500_000, f"route b at n=24 retains {retained / 1e6:.2f} MB"
 
 
 def test_normalize_idempotent_and_multiplicative() -> None:

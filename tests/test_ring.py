@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skeinlab.ring import (
     CPoly,
@@ -189,3 +190,84 @@ def test_cpoly_specialize_classical() -> None:
     vars = ("x",)
     p = CPoly(vars, {(1,): Q_MINUS_QINV, (0,): Q_PLUS_QINV})
     assert p.specialize_classical() == {(0,): 2}
+
+
+# -- ring laws, as properties ---------------------------------------------------
+
+laurents = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=4).map(Laurent)
+monomials = st.builds(Laurent.h_power, st.integers(-8, 8), st.integers(-9, 9).filter(bool))
+scalars = laurents | monomials
+ints = st.integers(-5, 5)
+VARS = ("x", "y")
+cpolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars, max_size=4
+).map(lambda terms: CPoly(VARS, terms))
+
+
+def assert_laurent_clean(*values: Laurent) -> None:
+    for value in values:
+        assert all(type(c) is int and c != 0 for c in value.terms.values()), value.terms
+        assert all(type(e) is int for e in value.terms), value.terms
+
+
+def assert_cpoly_clean(*values: CPoly) -> None:
+    for value in values:
+        assert all(not c.is_zero() for c in value.terms.values()), value.render()
+        assert_laurent_clean(*value.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars, scalars, scalars, ints)
+def test_laurent_ring_laws(a: Laurent, b: Laurent, c: Laurent, k: int) -> None:
+    zero, one = Laurent.zero(), Laurent.one()
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + zero == a and a * one == a and one * a == a
+    assert (a * zero).is_zero() and (zero * a).is_zero()
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
+    assert a + k == k + a == a + Laurent.integer(k)
+    assert a * k == k * a == a * Laurent.integer(k)
+    assert k - a == Laurent.integer(k) - a
+    assert_laurent_clean(a + b, a - b, -a, a * b, b * a, a * c, a * k, a + k, k - a, a - a)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scalars, monomials)
+def test_laurent_one_term_product_keeps_term_order(a: Laurent, m: Laurent) -> None:
+    (em, cm), = m.terms.items()
+    shifted = [(e + em, c * cm) for e, c in a.terms.items()]
+    assert list((a * m).terms.items()) == shifted
+    assert list((m * a).terms.items()) == shifted
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars, scalars, scalars, ints)
+def test_laurent_render_parse_and_hash(a: Laurent, b: Laurent, c: Laurent, k: int) -> None:
+    for value in (a, a * b, a - b, a * k):
+        assert Laurent.parse(value.render()) == value
+    assert hash(a + b) == hash(b + a)
+    assert hash(a * (b + c)) == hash(a * b + a * c)
+    assert Laurent.integer(k) == k and hash(Laurent.integer(k)) == hash(k)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cpolys, cpolys, cpolys, scalars, ints)
+def test_cpoly_ring_laws(f: CPoly, g: CPoly, h: CPoly, s: Laurent, k: int) -> None:
+    zero, one = CPoly.zero(VARS), CPoly.one(VARS)
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f + g == g + f and f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert f + zero == f and f * one == f
+    assert (f * zero).is_zero()
+    assert (f - f).is_zero() and (f + (-f)).is_zero()
+    assert (f + g) * s == f * s + g * s
+    assert f * k == k * f == f * CPoly.constant(k, VARS)
+    assert hash(f + g) == hash(g + f)
+    assert hash(f * (g + h)) == hash(f * g + f * h)
+    assert_cpoly_clean(f + g, f - g, -f, f * g, f * s, s * f, f * k, f - f)
