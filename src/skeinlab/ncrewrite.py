@@ -277,8 +277,10 @@ def exterior_algebra() -> NcAlgebraSpec:
     """Five generators l1 < l1p < t < r < x.
 
     x folds the strand generator t into the two band generators plus t*r;
-    the boundary generator r is central.  x past l1p is deliberately left
-    free: such words never arise in normalized input.
+    the boundary generator r is central.  x past l1p is left free, so the
+    presentation is not confluent: x*r*l1p normalizes to r*x*l1p leftmost
+    first and to x*l1p*r rightmost first.  `normalize()` multiplies letters
+    in from the left, so on such words it gives the right-to-left form.
     """
     L1, L1P, T, R, X = range(5)
     one = Laurent.one()

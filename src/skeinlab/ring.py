@@ -117,14 +117,6 @@ class Laurent:
         if not isinstance(other, (Laurent, int)):
             return NotImplemented
         other = _as_laurent(other)
-        # A one-term factor only shifts exponents and scales coefficients;
-        # the term order stays the general loop's (self outer, other inner).
-        if len(other.terms) == 1:
-            (e2, c2), = other.terms.items()
-            return Laurent._of({e1 + e2: c1 * c2 for e1, c1 in self.terms.items()})
-        if len(self.terms) == 1:
-            (e1, c1), = self.terms.items()
-            return Laurent._of({e1 + e2: c1 * c2 for e2, c2 in other.terms.items()})
         out: Dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

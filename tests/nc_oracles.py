@@ -53,7 +53,3 @@ def walk_normalize(elem: NcElement, rightmost: bool = False) -> NcElement:
             _accumulate(out, w, coeff * c)
     return NcElement(elem.spec, out)
 
-
-def normalize_rightmost(elem: NcElement) -> NcElement:
-    """Rightmost-first normal form, used to probe confluence."""
-    return walk_normalize(elem, rightmost=True)

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nc_oracles import normalize_rightmost, walk_normalize
+from nc_oracles import walk_normalize
 from skeinlab.ncrewrite import (
     Mat2Poly,
     NcAlgebraSpec,
@@ -81,7 +81,9 @@ def test_confluence_leftmost_vs_rightmost() -> None:
     for spec in (collar_algebra(), exterior_algebra()):
         for _ in range(60):
             elem = random_element(rng, spec)
-            assert elem.normalize() == normalize_rightmost(elem)
+            rightmost = walk_normalize(elem, rightmost=True)
+            assert walk_normalize(elem) == rightmost
+            assert elem.normalize() == rightmost
 
 
 def _exterior_confluent(word) -> bool:
