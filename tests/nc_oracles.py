@@ -52,4 +52,3 @@ def walk_normalize(elem: NcElement, rightmost: bool = False) -> NcElement:
         for w, c in walk_normal_form(elem.spec, word, rightmost, memo).items():
             _accumulate(out, w, coeff * c)
     return NcElement(elem.spec, out)
-
