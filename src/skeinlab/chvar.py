@@ -82,6 +82,16 @@ def fricke_f(r1: complex, r2: complex, r3: complex, r: complex, t: complex) -> c
     )
 
 
+def _eigen_pair(t: complex) -> Tuple[complex, complex]:
+    """(lam, s): the eigenvalue of trace t with |lam| >= 1, and the square
+    root s of t^2 - 4 signed so that lam = (t + s)/2."""
+    s = np.sqrt(complex(t * t - 4))
+    lam = (t + s) / 2
+    if abs(lam) < 1:
+        lam, s = (t - s) / 2, -s
+    return lam, s
+
+
 def pair_with_traces(t: complex, t12: complex) -> Tuple[Mat, Mat]:
     """Concrete pair (a1, a2), both of trace t, with tr(a1 a2) = t12.
 
@@ -94,11 +104,7 @@ def pair_with_traces(t: complex, t12: complex) -> Tuple[Mat, Mat]:
         raise ValueError("t = +-2 is degenerate (no unique eigenvalue pair)")
     if abs(t12 - 2) < _DEGENERATE_TOL or abs(t12 - (t * t - 2)) < _DEGENERATE_TOL:
         raise ValueError(f"t12 = {t12} lies on the reducible locus")
-    s = np.sqrt(complex(t * t - 4))
-    lam = (t + s) / 2
-    if abs(lam) < 1:
-        lam = (t - s) / 2
-        s = -s
+    lam, s = _eigen_pair(t)
     a1 = _mat(lam, 0, 0, 1 / lam)
     # a2 has unit upper-right entry; the diagonal solves the two traces
     a = (t12 - t / lam) / s
@@ -256,11 +262,7 @@ def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
     t = complex(t)
     if abs(t - 2) < _DEGENERATE_TOL or abs(t + 2) < _DEGENERATE_TOL:
         raise ValueError("t = +-2 is degenerate")
-    s_root = np.sqrt(complex(t * t - 4))
-    lam = (t + s_root) / 2
-    if abs(lam) < 1:
-        lam = (t - s_root) / 2
-        s_root = -s_root
+    lam, s_root = _eigen_pair(t)
     one = np.array([1], dtype=complex)
     zero = np.array([0], dtype=complex)
     g1 = [
@@ -584,7 +586,6 @@ class ScanRecord:
     built: int  # how many of the 4 branches were constructible
     eps_e: complex  # from the first constructible branch
     eps_e_min_abs: float  # smallest |eps(e)| over the built branches
-    ratio_ok: bool
 
 
 @dataclass(frozen=True)
@@ -608,13 +609,9 @@ class ScanReport:
     sibling_fractions: Tuple[Tuple[str, Tuple[float, float, float, float]], ...]
 
     def render(self) -> str:
-        lines = []
-        for rec in self.records:
-            lines.append(
-                f"b={_fmt(rec.b)} eps_e={_fmt(rec.eps_e)} "
-                f"eps_en_ratio_ok={rec.ratio_ok}"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"b={_fmt(rec.b)} eps_e={_fmt(rec.eps_e)}" for rec in self.records
+        )
 
 
 def _fmt(z: complex) -> str:
@@ -652,7 +649,6 @@ def nonvanishing_scan(
         built = 0
         eps_e_first: complex = complex("nan")
         eps_e_min = math.inf
-        ratio_ok = True
         for branch_idx, branch in enumerate(_BRANCHES):
             try:
                 point = build_X1_point(s_traces, t, b_val, branch)
@@ -673,12 +669,6 @@ def nonvanishing_scan(
             for label, value in zip(_FAMILY_LABELS, family):
                 if abs(value) > 1e-6:
                     sibling_hits[label][branch_idx] += 1
-            gammas = gamma_values(tor.eps_x, n_max)
-            base = tor.eps_en[0]
-            for n in range(1, n_max + 1):
-                want = base * gammas[n - 1]
-                if abs(tor.eps_en[n - 1] - want) > 1e-7 * max(1.0, abs(want)):
-                    ratio_ok = False
             any_nonzero = any_nonzero or abs(tor.eps_e) > 1e-6
         if built and eps_e_min > 1e-6:
             nonvanishing += 1
@@ -688,7 +678,6 @@ def nonvanishing_scan(
                 built,
                 eps_e_first,
                 float(eps_e_min) if built else math.inf,
-                ratio_ok,
             )
         )
     if not any_nonzero:

@@ -38,6 +38,7 @@ from .ring import (
     Q,
     QINV,
     Q_PLUS_QINV,
+    accumulate,
     q_power_diff,
     q_power_sum,
 )
@@ -114,7 +115,7 @@ class NcAlgebraSpec:
         out: Dict[Word, Laurent] = {}
         for v, c in nf.items():
             for w, d in self._letter_times(g, v).items():
-                _accumulate(out, w, c * d)
+                accumulate(out, w, c * d)
         return out
 
     def _letter_times(self, g: int, v: Word) -> Mapping[Word, Laurent]:
@@ -132,20 +133,9 @@ class NcAlgebraSpec:
                 for letter in reversed(repl):
                     part = self._left_multiply(letter, part)
                 for w, c in part.items():
-                    _accumulate(out, w, coeff * c)
+                    accumulate(out, w, coeff * c)
             self._products[(g, v)] = out
         return out
-
-
-def _accumulate(acc: Dict[Word, Laurent], word: Word, coeff: Laurent) -> None:
-    if coeff.is_zero():
-        return
-    total = acc.get(word)
-    total = coeff if total is None else total + coeff
-    if total.is_zero():
-        acc.pop(word, None)
-    else:
-        acc[word] = total
 
 
 class NcElement:
@@ -175,7 +165,7 @@ class NcElement:
         self._check(other)
         out = dict(self.terms)
         for word, coeff in other.terms.items():
-            _accumulate(out, word, coeff)
+            accumulate(out, word, coeff)
         return NcElement(self.spec, out)
 
     def __neg__(self) -> "NcElement":
@@ -194,7 +184,7 @@ class NcElement:
         out: Dict[Word, Laurent] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _accumulate(out, w1 + w2, c1 * c2)
+                accumulate(out, w1 + w2, c1 * c2)
         return NcElement(self.spec, out)
 
     def __rmul__(self, other: "Laurent | int") -> "NcElement":
@@ -216,7 +206,7 @@ class NcElement:
         memo: Dict[Word, Dict[Word, Laurent]] = {}
         for word, coeff in self.terms.items():
             for w, c in self.spec.normal_form_word(word, memo).items():
-                _accumulate(out, w, coeff * c)
+                accumulate(out, w, coeff * c)
         return NcElement(self.spec, out)
 
     def leading(self) -> Tuple[Word, Laurent]:
@@ -475,7 +465,7 @@ def _route_b_input(n: int, band: Laurent) -> NcElement:
     terms: Dict[Word, Laurent] = {}
     for poly, before, after in blocks:
         for (k,), coeff in poly.terms.items():
-            _accumulate(terms, before + x * k + after, coeff)
+            accumulate(terms, before + x * k + after, coeff)
     return NcElement(spec, terms)
 
 
@@ -566,9 +556,9 @@ def derive_e_n(n: int) -> ElementDerivation:
     xg, rg, tg, l1g = (spec.index(g) for g in ("x", "r", "t", "l1"))
     terms: Dict[Word, Laurent] = {}
     for (a, b), coeff in strand_coeff.terms.items():
-        _accumulate(terms, (xg,) * a + (rg,) * b + (tg,), coeff)
+        accumulate(terms, (xg,) * a + (rg,) * b + (tg,), coeff)
     for (k,), coeff in band_coeff.terms.items():
-        _accumulate(terms, (l1g,) + (xg,) * k, coeff)
+        accumulate(terms, (l1g,) + (xg,) * k, coeff)
     element = NcElement(spec, terms)
 
     base_case: Optional[NcElement] = None

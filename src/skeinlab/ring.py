@@ -14,9 +14,10 @@ exact division routine used to verify divisibility identities.
 from __future__ import annotations
 
 import re
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Hashable, Mapping, Tuple, TypeVar
 
 Monomial = Tuple[int, ...]
+_Key = TypeVar("_Key", bound=Hashable)
 
 
 class NonExactDivision(ArithmeticError):
@@ -268,6 +269,20 @@ def _as_laurent(value: "Laurent | int") -> Laurent:
     raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
 
 
+def accumulate(acc: Dict[_Key, Laurent], key: _Key, coeff: Laurent) -> None:
+    """Add coeff to acc[key], dropping the key when the sum is zero.
+
+    Every Laurent-valued map keeps this invariant: a zero coefficient is
+    never stored.  `Laurent`'s own int-coefficient loops inline it.
+    """
+    total = acc.get(key)
+    total = coeff if total is None else total + coeff
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
 # Frequently used scalars.
 ONE = Laurent.one()
 Q = Laurent.q_power(1)
@@ -349,12 +364,7 @@ class CPoly:
         self._check_vars(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = out.get(mono)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
+            accumulate(out, mono, coeff)
         return CPoly(self.vars, out)
 
     def __neg__(self) -> "CPoly":
@@ -371,14 +381,7 @@ class CPoly:
         out: Dict[Monomial, Laurent] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(mono)
-                prod = c1 * c2
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
+                accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return CPoly(self.vars, out)
 
     def __rmul__(self, other: "Laurent | int") -> "CPoly":
@@ -448,12 +451,7 @@ class CPoly:
             q_coeff = rem[r_mono].divide_exact(d_coeff)
             quo[q_mono] = q_coeff
             for mono, coeff in divisor.terms.items():
-                target = tuple(a + b for a, b in zip(mono, q_mono))
-                acc = rem.get(target, Laurent.zero()) - q_coeff * coeff
-                if acc.is_zero():
-                    rem.pop(target, None)
-                else:
-                    rem[target] = acc
+                accumulate(rem, tuple(a + b for a, b in zip(mono, q_mono)), -q_coeff * coeff)
         return CPoly(self.vars, quo)
 
     def extend(self, new_vars: Tuple[str, ...]) -> "CPoly":

@@ -30,7 +30,7 @@ from .geom import (
     ray_events,
     sub,
 )
-from .ring import Laurent, ONE
+from .ring import Laurent, ONE, accumulate
 
 Component = Tuple[int, ...]
 Multicurve = Tuple[Component, ...]
@@ -44,6 +44,10 @@ _HALF = Fraction(1, 2)
 
 DEFAULT_STATE_CAP = 24
 
+# Largest board: `resolve` keeps a winding vector of this length per loop
+# and per arc, so an unbounded header could exhaust memory.
+MAX_HOLES = 64
+
 
 @dataclass(frozen=True)
 class Board:
@@ -52,8 +56,8 @@ class Board:
     n_holes: int
 
     def __post_init__(self) -> None:
-        if self.n_holes < 0:
-            raise ValueError("hole count must be nonnegative")
+        if not 0 <= self.n_holes <= MAX_HOLES:
+            raise ValueError(f"hole count must be between 0 and {MAX_HOLES}")
 
     def centers(self) -> List[Point]:
         return [(Fraction(i), Fraction(0)) for i in range(1, self.n_holes + 1)]
@@ -137,7 +141,7 @@ class SkeinElement:
         self._check_board(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Laurent.zero()) + c
+            accumulate(out, m, c)
         return SkeinElement(self.board, out)
 
     def __sub__(self, other: "SkeinElement") -> "SkeinElement":
@@ -344,6 +348,8 @@ def parse_diagram(text: str) -> Diagram:
                 if len(parts) != 2:
                     raise DiagramError(f"line {ln}: bad coordinate '({inner})'")
                 try:
+                    if "e" in inner or "E" in inner:  # Fraction expands exponents
+                        raise ValueError(inner)
                     pts.append((Fraction(parts[0].strip()), Fraction(parts[1].strip())))
                 except (ValueError, ZeroDivisionError):
                     raise DiagramError(
@@ -426,26 +432,11 @@ def _smoothing_pairs(d_over: Point, d_under: Point, k: int, ob: int):
     the uncurled loop).
     """
     ub = 1 - ob
-    s = cross(d_over, d_under)
-    if s > 0:
-        a_pairs = (
-            ((k, ob, _IN), (k, ub, _OUT)),
-            ((k, ob, _OUT), (k, ub, _IN)),
-        )
-        b_pairs = (
-            ((k, ob, _IN), (k, ub, _IN)),
-            ((k, ob, _OUT), (k, ub, _OUT)),
-        )
-    else:
-        a_pairs = (
-            ((k, ob, _IN), (k, ub, _IN)),
-            ((k, ob, _OUT), (k, ub, _OUT)),
-        )
-        b_pairs = (
-            ((k, ob, _IN), (k, ub, _OUT)),
-            ((k, ob, _OUT), (k, ub, _IN)),
-        )
-    return a_pairs, b_pairs
+    in_out = (((k, ob, _IN), (k, ub, _OUT)), ((k, ob, _OUT), (k, ub, _IN)))
+    in_in = (((k, ob, _IN), (k, ub, _IN)), ((k, ob, _OUT), (k, ub, _OUT)))
+    if cross(d_over, d_under) > 0:
+        return in_out, in_in
+    return in_in, in_out
 
 
 def _resolve_component(
@@ -543,12 +534,7 @@ def _resolve_component(
             coeff = coeff * MINUS_ALPHA ** empties
         if not is_laminar(comps):
             raise AssertionError(f"state produced non-laminar family {comps}")
-        key = tuple(sorted(comps))
-        acc = out.get(key, Laurent.zero()) + coeff
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        accumulate(out, tuple(sorted(comps)), coeff)
     return out
 
 
@@ -580,12 +566,7 @@ def resolve(d: Diagram, state_cap: int = DEFAULT_STATE_CAP) -> SkeinElement:
         merged: Dict[Multicurve, Laurent] = {}
         for m1, c1 in total.items():
             for m2, c2 in part.items():
-                key = tuple(sorted(m1 + m2))
-                acc = merged.get(key, Laurent.zero()) + c1 * c2
-                if acc.is_zero():
-                    merged.pop(key, None)
-                else:
-                    merged[key] = acc
+                accumulate(merged, tuple(sorted(m1 + m2)), c1 * c2)
         total = merged
     for m in total:
         if not is_laminar(m):
@@ -798,27 +779,18 @@ def _basis_product(
 
 
 def multiply(
-    a: SkeinElement,
-    b: SkeinElement,
-    board: Optional[Board] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
+    a: SkeinElement, b: SkeinElement, state_cap: int = DEFAULT_STATE_CAP
 ) -> SkeinElement:
     """Stacking product: diagrams of `a` on top of diagrams of `b`."""
-    if board is None:
-        board = a.board
-    if a.board != board or b.board != board:
+    if a.board != b.board:
         raise ValueError("elements live on different boards")
     out: Dict[Multicurve, Laurent] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             scale = ca * cb
-            for m, coeff in _basis_product(board.n_holes, ma, mb, state_cap):
-                acc = out.get(m, Laurent.zero()) + scale * coeff
-                if acc.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-    return SkeinElement(board, out)
+            for m, coeff in _basis_product(a.board.n_holes, ma, mb, state_cap):
+                accumulate(out, m, scale * coeff)
+    return SkeinElement(a.board, out)
 
 
 # ---------------------------------------------------------------------------

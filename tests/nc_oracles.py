@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from skeinlab.ncrewrite import NcAlgebraSpec, NcElement, Word, _accumulate
-from skeinlab.ring import Laurent
+from skeinlab.ncrewrite import NcAlgebraSpec, NcElement, Word
+from skeinlab.ring import Laurent, accumulate
 
 
 def walk_normal_form(
@@ -39,7 +39,7 @@ def walk_normal_form(
         for coeff, repl in spec.rules[(word[pos], word[pos + 1])]:
             sub_nf = walk_normal_form(spec, prefix + repl + suffix, rightmost, memo)
             for w, c in sub_nf.items():
-                _accumulate(result, w, coeff * c)
+                accumulate(result, w, coeff * c)
     memo[word] = result
     return result
 
@@ -50,5 +50,5 @@ def walk_normalize(elem: NcElement, rightmost: bool = False) -> NcElement:
     memo: Dict[Word, Dict[Word, Laurent]] = {}
     for word, coeff in elem.terms.items():
         for w, c in walk_normal_form(elem.spec, word, rightmost, memo).items():
-            _accumulate(out, w, coeff * c)
+            accumulate(out, w, coeff * c)
     return NcElement(elem.spec, out)

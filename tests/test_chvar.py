@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -359,7 +360,6 @@ def test_nonvanishing_scan_reports():
     assert len(report.records) == 40
     assert len(report.quad_roots) == 4
     for rec in report.records:
-        assert rec.ratio_ok
         if rec.eps_e_min_abs <= 1e-6:
             assert min(abs(rec.b - r) for r in report.quad_roots) < 1e-6
     # each candidate is generically nonvanishing on at least one branch;
@@ -382,10 +382,11 @@ def test_nonvanishing_scan_reports():
     assert degenerate["etilde3"] == ()
     lines = report.render().splitlines()
     assert len(lines) == 40
-    for line in lines:
-        assert line.startswith("b=")
-        assert " eps_e=" in line
-        assert line.endswith(" eps_en_ratio_ok=True")
+    for line, rec in zip(lines, report.records):
+        match = re.fullmatch(r"b=(\S+) eps_e=(\S+)", line)
+        assert match, line
+        assert complex(match[1]) == pytest.approx(rec.b, rel=1e-8)
+        assert complex(match[2]) == pytest.approx(rec.eps_e, rel=1e-8)
 
 
 def test_nonvanishing_scan_rejects_small_grid():

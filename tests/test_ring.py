@@ -13,6 +13,7 @@ from skeinlab.ring import (
     QINV,
     Q_MINUS_QINV,
     Q_PLUS_QINV,
+    accumulate,
     q_power_diff,
     q_power_sum,
 )
@@ -50,6 +51,17 @@ def test_constants() -> None:
 def test_zero_coefficients_dropped() -> None:
     assert Laurent({3: 0, 1: 2}).terms == {1: 2}
     assert (Laurent({1: 2}) - Laurent({1: 2})).is_zero()
+
+
+def test_accumulate_drops_zero_sums() -> None:
+    acc = {}
+    accumulate(acc, "a", Q)
+    accumulate(acc, "b", QINV)
+    accumulate(acc, "c", Laurent.zero())
+    assert acc == {"a": Q, "b": QINV}
+    accumulate(acc, "a", -Q)
+    accumulate(acc, "b", QINV)
+    assert acc == {"b": QINV * 2}
 
 
 def test_evaluate_known_point() -> None:
