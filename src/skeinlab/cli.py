@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import random
 import sys
 import time
@@ -147,7 +148,7 @@ class VerificationReport:
             if item.detail:
                 line += f" ({item.detail})"
             if include_timings:
-                line += f" [{item.seconds:.3f}s]"
+                line += f" [{item.seconds:.6f}s]"
             lines.append(line)
         lines.append(f"result: {'FAIL' if self.failed else 'PASS'}")
         return "\n".join(lines)
@@ -679,13 +680,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+    except BrokenPipeError:
+        # The reader went away (`... | head -1`) before the command finished,
+        # so its verdict is unknown.
+        _drop_stdout()
+        return 1
     except (ConfigError, DiagramError, ManifestError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        _drop_stdout()  # the command finished: its verdict stands
+    return code
+
+
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so the exit flush of the buffered rest cannot
+    fail again on the closed pipe."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -356,6 +356,14 @@ class CPoly:
 
     # -- ring operations -----------------------------------------------------
 
+    @classmethod
+    def _of(cls, vars: Tuple[str, ...], terms: Dict[Monomial, Laurent]) -> "CPoly":
+        """Wrap a term map of valid monomials and nonzero coefficients."""
+        out = cls.__new__(cls)
+        out.vars = vars
+        out.terms = terms
+        return out
+
     def _check_vars(self, other: "CPoly") -> None:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
@@ -365,10 +373,10 @@ class CPoly:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             accumulate(out, mono, coeff)
-        return CPoly(self.vars, out)
+        return CPoly._of(self.vars, out)
 
     def __neg__(self) -> "CPoly":
-        return CPoly(self.vars, {m: -c for m, c in self.terms.items()})
+        return CPoly._of(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "CPoly") -> "CPoly":
         return self + (-other)
@@ -376,13 +384,14 @@ class CPoly:
     def __mul__(self, other: "CPoly | Laurent | int") -> "CPoly":
         if isinstance(other, (Laurent, int)):
             scale = _as_laurent(other)
-            return CPoly(self.vars, {m: c * scale for m, c in self.terms.items()})
+            terms = {m: c * scale for m, c in self.terms.items()} if scale else {}
+            return CPoly._of(self.vars, terms)
         self._check_vars(other)
         out: Dict[Monomial, Laurent] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-        return CPoly(self.vars, out)
+        return CPoly._of(self.vars, out)
 
     def __rmul__(self, other: "Laurent | int") -> "CPoly":
         return self * other

@@ -6,6 +6,14 @@ and classifies every resulting embedded loop by the set of holes it
 encloses, producing an element of the free module on laminar multicurves.
 `multiply` stacks diagrams (first factor on top) and resolves.
 
+The state sum runs on ints.  A group of c crossings has 4c numbered
+ports and 2c arcs, and each arc's winding vector is packed into one int,
+so a state costs c pairings written into one reused `partner` list and
+one walk over the 2c arcs, adding one int per arc.  Loop hole sets come
+from a memo keyed by packed winding, and the states are only counted
+per (multicurve, b-smoothings, empty loops); the Laurent scalars are
+built once per count, after the 2^c states.
+
 All geometry is exact (see :mod:`skeinlab.geom`); scalars live in the
 half-integer Laurent ring of :mod:`skeinlab.ring`.
 """
@@ -108,8 +116,11 @@ class SkeinElement:
 
     def __init__(self, board: Board, terms: Dict[Multicurve, Laurent]):
         self.board = board
+        # Equal coefficients share one object: products repeat a few
+        # scalars many times, and a Laurent is never changed in place.
+        shared: Dict[Laurent, Laurent] = {}
         self.terms: Dict[Multicurve, Laurent] = {
-            m: c for m, c in terms.items() if not c.is_zero()
+            m: shared.setdefault(c, c) for m, c in terms.items() if not c.is_zero()
         }
 
     @classmethod
@@ -397,14 +408,6 @@ def render_diagram(d: Diagram) -> str:
 # State-sum resolution
 
 _IN, _OUT = 0, 1
-Port = Tuple[int, int, int]  # (crossing index, branch index, _IN/_OUT)
-
-
-@dataclass
-class _Arc:
-    start: Port  # leaves this crossing/branch
-    end: Port  # arrives at this crossing/branch
-    winding: Tuple[int, ...]
 
 
 def _branch_direction(polylines, br: Branch) -> Point:
@@ -423,17 +426,42 @@ def _classify_windings(w: Sequence[int]) -> Component:
     return tuple(i + 1 for i, x in enumerate(w) if x != 0)
 
 
-def _smoothing_pairs(d_over: Point, d_under: Point, k: int, ob: int):
-    """Port pairings of the two smoothings at crossing k.
+def _field_width(total: int) -> int:
+    """Bits per hole of a packed winding vector whose entries are bounded
+    by `total` in absolute value: each field then holds a signed value in
+    [-2^(width-1), 2^(width-1)), so decoding is exact."""
+    return total.bit_length() + 1
+
+
+def _pack(w: Sequence[int], width: int) -> int:
+    """Winding vector as one int, hole h in bits h*width and up.  Packing
+    is linear, so a loop's packed winding is the sum of its arcs'."""
+    return sum(x << (h * width) for h, x in enumerate(w))
+
+
+def _unpack(packed: int, n_holes: int, width: int) -> Tuple[int, ...]:
+    """Inverse of `_pack` for entries in the range `width` allows: adding
+    half a field to every field makes them all nonnegative, so no field
+    borrows from the next."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    biased = packed + _pack([half] * n_holes, width)
+    return tuple(((biased >> (h * width)) & mask) - half for h in range(n_holes))
+
+
+def _smoothing_pairs(d_over: Point, d_under: Point, base: int, ob: int):
+    """Port pairings (p, q, r, s: p-q and r-s joined) of the two smoothings
+    of the crossing whose ports are base + 2*branch + _IN/_OUT.
 
     The h = q^{1/2} smoothing joins each over-strand end to the
     under-strand end lying clockwise from it; the convention is pinned by
     the positive-curl test (resolve of a positive curl = -q^{3/2} times
     the uncurled loop).
     """
-    ub = 1 - ob
-    in_out = (((k, ob, _IN), (k, ub, _OUT)), ((k, ob, _OUT), (k, ub, _IN)))
-    in_in = (((k, ob, _IN), (k, ub, _IN)), ((k, ob, _OUT), (k, ub, _OUT)))
+    o_in, o_out = base + 2 * ob + _IN, base + 2 * ob + _OUT
+    u_in, u_out = base + 2 * (1 - ob) + _IN, base + 2 * (1 - ob) + _OUT
+    in_out = (o_in, u_out, o_out, u_in)
+    in_in = (o_in, u_in, o_out, u_out)
     if cross(d_over, d_under) > 0:
         return in_out, in_in
     return in_in, in_out
@@ -445,7 +473,12 @@ def _resolve_component(
     cross_ids: Sequence[int],
     state_cap: int,
 ) -> Dict[Multicurve, Laurent]:
-    """State sum over one crossing-connected group of polylines."""
+    """State sum over one crossing-connected group of polylines.
+
+    Crossing j of the group has the ports 4j + 2*branch + _IN/_OUT, and
+    each arc runs from an _OUT port to the next _IN port along its
+    polyline.
+    """
     n_holes = d.board.n_holes
     if not cross_ids:
         (pi,) = polys
@@ -460,13 +493,15 @@ def _resolve_component(
             f"crossing component has {c} crossings, exceeding the state cap "
             f"{state_cap}"
         )
+    base = {k: 4 * j for j, k in enumerate(cross_ids)}
 
     # Passages of each polyline through its crossings, by traversal order.
     passages: Dict[int, List[Tuple[Fraction, int, int]]] = {pi: [] for pi in polys}
     for k in cross_ids:
         for b, br in enumerate(d.crossings[k].branches):
             passages[br[0]].append((br[1] + br[2], k, b))
-    arcs: List[_Arc] = []
+    ends: List[Tuple[int, int]] = []  # per arc: (start port, end port)
+    windings: List[Tuple[int, ...]] = []
     for pi in polys:
         ps = sorted(passages[pi])
         events = ray_events(n_holes, d.polylines[pi])
@@ -474,73 +509,71 @@ def _resolve_component(
             g2, k2, b2 = ps[(i + 1) % len(ps)]
             start = (g1, d.crossings[k1].point[1])
             end = (g2, d.crossings[k2].point[1])
-            arcs.append(
-                _Arc(
-                    start=(k1, b1, _OUT),
-                    end=(k2, b2, _IN),
-                    winding=arc_winding(events, n_holes, start, end),
-                )
-            )
+            ends.append((base[k1] + 2 * b1 + _OUT, base[k2] + 2 * b2 + _IN))
+            windings.append(arc_winding(events, n_holes, start, end))
 
-    arc_at: Dict[Port, Tuple[int, int]] = {}
-    for ai, arc in enumerate(arcs):
-        arc_at[arc.start] = (ai, +1)
-        arc_at[arc.end] = (ai, -1)
+    # A loop uses each arc at most once, so no loop's winding about a hole
+    # exceeds the total over all arcs and holes.
+    width = _field_width(sum(abs(x) for w in windings for x in w))
+    arc_of = [0] * (4 * c)
+    other_end = [0] * (4 * c)
+    step = [0] * (4 * c)  # packed winding of the arc entered at this port
+    for ai, ((p_start, p_end), w) in enumerate(zip(ends, windings)):
+        packed = _pack(w, width)
+        arc_of[p_start], other_end[p_start], step[p_start] = ai, p_end, packed
+        arc_of[p_end], other_end[p_end], step[p_end] = ai, p_start, -packed
+    starts = [p_start for p_start, _ in ends]
 
-    pairings = []  # per crossing: (a_pairs, b_pairs)
+    pairings = []  # per crossing: (a pairs, b pairs)
     for k in cross_ids:
         crossing = d.crossings[k]
         ob = crossing.over_branch
         d_over = _branch_direction(d.polylines, crossing.branches[ob])
         d_under = _branch_direction(d.polylines, crossing.branches[1 - ob])
-        pairings.append(_smoothing_pairs(d_over, d_under, k, ob))
+        pairings.append(_smoothing_pairs(d_over, d_under, base[k], ob))
 
-    out: Dict[Multicurve, Laurent] = {}
+    classes: Dict[int, Component] = {}  # packed loop winding -> hole set
+    tally: Dict[Tuple[Multicurve, int, int], int] = {}
+    partner = [0] * (4 * c)
     for state in range(1 << c):
-        partner: Dict[Port, Port] = {}
-        b_count = 0
         for bit, (a_pairs, b_pairs) in enumerate(pairings):
-            use_b = (state >> bit) & 1
-            b_count += use_b
-            for p1, p2 in (b_pairs if use_b else a_pairs):
-                partner[p1] = p2
-                partner[p2] = p1
-        coeff = Laurent.h_power(c - 2 * b_count)
-        visited = [False] * len(arcs)
+            p, q, r, s = b_pairs if (state >> bit) & 1 else a_pairs
+            partner[p], partner[q], partner[r], partner[s] = q, p, s, r
+        visited = [False] * len(starts)
         comps: List[Component] = []
         empties = 0
-        for a0 in range(len(arcs)):
+        for a0, entry in enumerate(starts):
             if visited[a0]:
                 continue
-            w = [0] * n_holes
-            entry: Port = arcs[a0].start
+            w = 0
             port = entry
             while True:
-                ai, sign = arc_at[port]
-                visited[ai] = True
-                arc = arcs[ai]
-                for h in range(n_holes):
-                    w[h] += sign * arc.winding[h]
-                exit_port = arc.end if sign > 0 else arc.start
-                port = partner[exit_port]
+                visited[arc_of[port]] = True
+                w += step[port]
+                port = partner[other_end[port]]
                 if port == entry:
                     break
-            comp = _classify_windings(w)
+            comp = classes.get(w)
+            if comp is None:
+                comp = classes[w] = _classify_windings(_unpack(w, n_holes, width))
             if comp:
                 comps.append(comp)
             else:
                 empties += 1
-        if empties:
-            coeff = coeff * MINUS_ALPHA ** empties
-        if not is_laminar(comps):
-            raise AssertionError(f"state produced non-laminar family {comps}")
-        accumulate(out, tuple(sorted(comps)), coeff)
+        key = (tuple(sorted(comps)), state.bit_count(), empties)
+        tally[key] = tally.get(key, 0) + 1
+
+    for m in dict.fromkeys(m for m, _, _ in tally):
+        if not is_laminar(m):
+            raise AssertionError(f"state produced non-laminar family {m}")
+    out: Dict[Multicurve, Laurent] = {}
+    for (m, b_count, empties), count in tally.items():
+        accumulate(out, m, Laurent.h_power(c - 2 * b_count, count) * MINUS_ALPHA ** empties)
     return out
 
 
-def resolve(d: Diagram, state_cap: int = DEFAULT_STATE_CAP) -> SkeinElement:
-    """Bracket state sum of a diagram, expanded in the multicurve basis."""
-    # Group polylines by crossing connectivity; the state sum factors.
+def _crossing_groups(d: Diagram) -> List[Tuple[List[int], List[int]]]:
+    """(polylines, crossings) of each crossing-connected group of curves."""
     parent = list(range(len(d.polylines)))
 
     def find(x: int) -> int:
@@ -559,10 +592,15 @@ def resolve(d: Diagram, state_cap: int = DEFAULT_STATE_CAP) -> SkeinElement:
     group_cross: Dict[int, List[int]] = {g: [] for g in groups}
     for k, crossing in enumerate(d.crossings):
         group_cross[find(crossing.branches[0][0])].append(k)
+    return [(polys, group_cross[g]) for g, polys in sorted(groups.items())]
 
+
+def resolve(d: Diagram, state_cap: int = DEFAULT_STATE_CAP) -> SkeinElement:
+    """Bracket state sum of a diagram, expanded in the multicurve basis."""
+    # The state sum factors over the crossing-connected groups.
     total: Dict[Multicurve, Laurent] = {(): ONE}
-    for g, polys in sorted(groups.items()):
-        part = _resolve_component(d, polys, group_cross[g], state_cap)
+    for polys, cross_ids in _crossing_groups(d):
+        part = _resolve_component(d, polys, cross_ids, state_cap)
         merged: Dict[Multicurve, Laurent] = {}
         for m1, c1 in total.items():
             for m2, c2 in part.items():

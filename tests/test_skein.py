@@ -1,7 +1,9 @@
 """Tests for boards, diagrams, the bracket state sum, and stacking products."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +26,12 @@ from oracles import (
     spans_interleave,
     winding_contribution,
 )
+from state_sum_reference import reference_groups
 from skeinlab.geom import arc_winding, find_crossings, loop_winding, ray_events
 from skeinlab.ring import Laurent
+from skeinlab import skein
 from skeinlab.skein import (
+    DEFAULT_STATE_CAP,
     MINUS_ALPHA,
     Board,
     Diagram,
@@ -517,6 +522,77 @@ def test_resolve_matches_naive_enumeration():
 def test_r3_diagrams_match_naive_enumeration():
     d = _r3_diagram(1, {"c": 3, "a": 2, "b": 1}, F(1), (F(0), F(0)))
     assert resolve(d).terms == naive_resolve(d)
+
+
+# ---------------------------------------------------------------------------
+# Integer state kernel against the port-dict state loop
+
+PRODUCTS_5H = Path(__file__).resolve().parent.parent / "perfbench" / "products_5h.json"
+
+
+def _assert_kernel_matches_reference(d):
+    """Per group, the same multicurves with the same coefficient term maps."""
+    got = [
+        skein._resolve_component(d, polys, cross_ids, DEFAULT_STATE_CAP)
+        for polys, cross_ids in skein._crossing_groups(d)
+    ]
+    want = reference_groups(d)
+    assert [{m: c.terms for m, c in g.items()} for g in got] == [
+        {m: c.terms for m, c in g.items()} for g in want
+    ], render_diagram(d)
+
+
+def test_state_kernel_matches_reference_on_products_5h_basis_pairs():
+    spec = json.loads(PRODUCTS_5H.read_text(encoding="utf-8"))
+    board = Board(spec["n_holes"])
+    pairs = [
+        (canonical_multicurve(p["a"][0][1], board), canonical_multicurve(p["b"][0][1], board))
+        for p in spec["products"]
+        if len(p["a"]) == 1 and len(p["b"]) == 1
+    ]
+    assert len(pairs) == 14
+    for ma, mb in pairs:
+        _assert_kernel_matches_reference(stacking_diagram(ma, mb, board))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_state_kernel_matches_reference_on_ladder(k):
+    d = stacking_diagram(((1, 3),) * k, ((1, 2),) * k, Board(3))
+    assert len(d.crossings) == {1: 4, 2: 12}[k]
+    _assert_kernel_matches_reference(d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_state_kernel_matches_reference_on_random_diagrams(seed):
+    for d in random_diagrams(seed=seed, count=3):
+        _assert_kernel_matches_reference(d)
+
+
+@pytest.mark.parametrize("total", [1, 2, 3, 4, 7, 8])
+def test_packed_windings_decode_exactly_at_the_width_limit(total):
+    width = skein._field_width(total)
+    for w in [(total, -total, 0), (-total, total, total), (total - 1, -total, 1)]:
+        assert skein._unpack(skein._pack(w, width), 3, width) == w
+    # A loop winding twice about a hole still trips the embedding check.
+    if total >= 2:
+        with pytest.raises(AssertionError, match="non-embedded"):
+            skein._classify_windings(skein._unpack(skein._pack((0, total, 0), width), 3, width))
+
+
+def test_state_kernel_keeps_the_laminar_check(monkeypatch):
+    d = stacking_diagram(((1, 3),), ((1, 2),), Board(3))
+    ((polys, cross_ids),) = skein._crossing_groups(d)
+    monkeypatch.setattr(skein, "is_laminar", lambda comps: False)
+    with pytest.raises(AssertionError, match="non-laminar family"):
+        skein._resolve_component(d, polys, cross_ids, DEFAULT_STATE_CAP)
+
+
+def test_equal_coefficients_share_one_scalar():
+    board = Board(2)
+    e = SkeinElement(board, {((1,),): Laurent({1: 2}), ((2,),): Laurent({1: 2}), (): ONE})
+    assert e.terms[((1,),)] is e.terms[((2,),)]
+    assert e.terms[()] is not e.terms[((1,),)]
 
 
 def test_specialization_commutes_with_resolution():
