@@ -524,18 +524,15 @@ class EpsilonTorsion:
     eps_e_family: Tuple[complex, complex, complex, complex]
     eps_et_family: Tuple[complex, complex, complex, complex]
     eps_x: complex
-    eps_en: Tuple[complex, ...]
 
 
-def epsilon_torsion_elements(p: ReprPoint, n_max: int) -> EpsilonTorsion:
-    """Classical values of the eight quadratic torsion candidates and of
-    the ladder elements via the ratio identity 2*eps(e)*gamma_n(eps(x)).
+def epsilon_torsion_elements(p: ReprPoint) -> EpsilonTorsion:
+    """Classical values of the eight quadratic torsion candidates, and
+    eps(x) for the ladder 2*eps(e)*gamma_n(eps(x)).
 
     diff(i) below is the common value eps(u_i) - eps(l_i)
     = eps(l'_i) - eps(l_i) = eps(u_i) - eps(u'_i).
     """
-    if n_max < 1:
-        raise ValueError("n_max >= 1 required")
     basics = epsilon_basics(p)
     diff = [basics.eps_u[i - 1] - basics.eps_l[i - 1] for i in range(1, 5)]
     e_family = tuple(
@@ -544,10 +541,7 @@ def epsilon_torsion_elements(p: ReprPoint, n_max: int) -> EpsilonTorsion:
     et_family = tuple(
         diff[(_cyc(i + 2)) - 1] * diff[i - 1] for i in range(1, 5)
     )
-    eps_e = e_family[0]
-    gammas = gamma_values(basics.eps_x, n_max)
-    eps_en = tuple(2 * eps_e * g for g in gammas)
-    return EpsilonTorsion(eps_e, e_family, et_family, basics.eps_x, eps_en)
+    return EpsilonTorsion(e_family[0], e_family, et_family, basics.eps_x)
 
 
 def zero_locus_roots(t: complex, c1: complex, c2: complex) -> Tuple[complex, complex]:
@@ -602,7 +596,6 @@ class ScanReport:
 
     t: complex
     s: Tuple[complex, complex, complex, complex]
-    n_max: int
     records: Tuple[ScanRecord, ...]
     quad_roots: Tuple[complex, ...]
     nonvanish_fraction: float
@@ -625,10 +618,9 @@ def nonvanishing_scan(
     tangles: Sequence[Tangle],
     t: complex,
     b_grid: Sequence[complex],
-    n_max: int,
 ) -> ScanReport:
-    """Evaluate the eight torsion candidates and the ladder over a grid of
-    tr(x2 x4) values, across all four branches.
+    """Evaluate the eight torsion candidates over a grid of tr(x2 x4)
+    values, across all four branches.
 
     Raises if the grid is smaller than 32 or if every point vanishes
     (which would mean a misconfigured family, not a generic one).
@@ -661,7 +653,7 @@ def nonvanishing_scan(
                 ) + zero_locus_roots(t, d.t23, d.t34)
             built += 1
             branch_built[branch_idx] += 1
-            tor = epsilon_torsion_elements(point, n_max)
+            tor = epsilon_torsion_elements(point)
             if built == 1:
                 eps_e_first = tor.eps_e
             eps_e_min = min(eps_e_min, abs(tor.eps_e))
@@ -694,5 +686,5 @@ def nonvanishing_scan(
         for label, hits in sibling_hits.items()
     )
     return ScanReport(
-        t, s_traces, n_max, tuple(records), quad_roots, fraction, sibling_fractions
+        t, s_traces, tuple(records), quad_roots, fraction, sibling_fractions
     )

@@ -6,7 +6,7 @@ Subcommands:
     cheby verify [--max-n N]
     ncverify [--max-n N] [--route a|b|both]
     skein resolve <file> | multiply <a> <b> | verify-fixture <dir>
-    chvar scan [--tangles ...] [--t-samples N] [--b-samples N] [--n-max N] [--seed N]
+    chvar scan [--tangles ...] [--t-samples N] [--b-samples N] [--seed N]
     chvar fricke [--trials N] [--seed N]
     fixtures emit --dir DIR [--force]
 
@@ -402,13 +402,12 @@ def _scan_once(
     t: complex,
     seed_token: str,
     b_samples: int,
-    n_max: int,
 ):
     from . import chvar
 
     rng = random.Random(seed_token)
     grid = [_sample_b(rng, t) for _ in range(b_samples)]
-    return chvar.nonvanishing_scan(tangles, t, grid, n_max)
+    return chvar.nonvanishing_scan(tangles, t, grid)
 
 
 def _scan_healthy(report) -> Tuple[bool, str]:
@@ -427,7 +426,7 @@ def _scan_healthy(report) -> Tuple[bool, str]:
     return True, ""
 
 
-def _chvar_suite(seed: int, t_samples: int, b_samples: int, n_max: int) -> List[SuiteItem]:
+def _chvar_suite(seed: int, t_samples: int, b_samples: int) -> List[SuiteItem]:
     def fricke() -> Tuple[str, str]:
         worst = _fricke_max_residual(seed, 200)
         if worst < 1e-8:
@@ -439,9 +438,7 @@ def _chvar_suite(seed: int, t_samples: int, b_samples: int, n_max: int) -> List[
         worst_fraction = 1.0
         for k in range(t_samples):
             t = _sample_t(rng)
-            report = _scan_once(
-                ((1, 3),) * 4, t, f"{seed}:chvar-grid:{k}", b_samples, n_max
-            )
+            report = _scan_once(((1, 3),) * 4, t, f"{seed}:chvar-grid:{k}", b_samples)
             healthy, why = _scan_healthy(report)
             if not healthy:
                 return "FAIL", f"t={t:.6g}: {why}"
@@ -460,12 +457,11 @@ def run_all(config: Dict[str, Union[int, str]]) -> VerificationReport:
     """Run every suite in turn and assemble the report in suite order."""
     seed = int(config["seed"])
     max_n = int(config["max_n"])
-    scan_n_max = min(16, max_n)
     items = (
         _cheby_suite(max_n)
         + _ncrewrite_suite(max_n)
         + _skein_suite(seed, int(config["state_cap"]), str(config["fixture_dir"]))
-        + _chvar_suite(seed, int(config["t_samples"]), int(config["b_samples"]), scan_n_max)
+        + _chvar_suite(seed, int(config["t_samples"]), int(config["b_samples"]))
     )
     return VerificationReport(seed, tuple(items))
 
@@ -587,19 +583,15 @@ def _cmd_chvar(args: argparse.Namespace) -> int:
         raise ConfigError("--b-samples must be at least 32")
     if args.t_samples < 1:
         raise ConfigError("--t-samples must be at least 1")
-    if args.n_max < 1:
-        raise ConfigError("--n-max must be at least 1")
     rng = random.Random(f"{args.seed}:chvar-t")
     print(
         f"# tangles={args.tangles} t_samples={args.t_samples} "
-        f"b_samples={args.b_samples} n_max={args.n_max} seed={args.seed}"
+        f"b_samples={args.b_samples} seed={args.seed}"
     )
     failed = False
     for k in range(args.t_samples):
         t = _sample_t(rng)
-        report = _scan_once(
-            tangles, t, f"{args.seed}:chvar-grid:{k}", args.b_samples, args.n_max
-        )
+        report = _scan_once(tangles, t, f"{args.seed}:chvar-grid:{k}", args.b_samples)
         print(f"# t={t:.9g}")
         print(report.render())
         healthy, why = _scan_healthy(report)
@@ -659,7 +651,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--tangles", default="1/3,1/3,1/3,1/3")
     p_scan.add_argument("--t-samples", type=int, default=8)
     p_scan.add_argument("--b-samples", type=int, default=100)
-    p_scan.add_argument("--n-max", type=int, default=16)
     p_scan.add_argument("--seed", type=int, default=0)
     p_fricke = chvar_sub.add_parser("fricke")
     p_fricke.add_argument("--trials", type=int, default=1000)

@@ -51,13 +51,19 @@ def _word_key(word: Word) -> Tuple[int, Word]:
 
 
 class NcAlgebraSpec:
-    """A finite presentation with strictly order-decreasing rewrite rules.
+    """A finite presentation with strictly order-decreasing rewrite rules
+    and a set of central generators.
 
-    Generators are ordered by position.  ``rules[(a, b)]`` replaces the
-    adjacent pair a*b by a Laurent combination of words, each strictly
-    smaller than (a, b) in the graded lexicographic word order; that makes
-    every rewrite sequence terminate.  Pairs without a rule are left alone,
-    so the presentation may be partial (or empty, giving a free algebra).
+    Generators are ordered by position.  A normal word is a word in the
+    non-central generators with no adjacent pair that is a rule key,
+    followed by a tail of central generators in ascending order;
+    multiplying by a central generator just inserts it into the tail.  ``rules[(a, b)]`` replaces
+    the adjacent pair a*b of non-central generators by a Laurent
+    combination of words whose non-central letters are strictly smaller
+    than (a, b) in the graded lexicographic order.  That order and the
+    sorting of the finite central tail make every rewrite sequence
+    terminate.  Pairs without a rule are left alone, so the presentation
+    may be partial (or empty, giving a free algebra).
     """
 
     def __init__(
@@ -65,17 +71,22 @@ class NcAlgebraSpec:
         name: str,
         generators: Tuple[str, ...],
         rules: Mapping[Tuple[int, int], List[Tuple[Laurent, Word]]],
+        central: Tuple[str, ...] = (),
     ) -> None:
         self.name = name
         self.generators = tuple(generators)
+        self.central = frozenset(self.index(g) for g in central)
         self.rules: Dict[Tuple[int, int], List[Tuple[Laurent, Word]]] = {}
         for (a, b), replacement in rules.items():
             if not (0 <= a < len(generators) and 0 <= b < len(generators)):
                 raise ValueError(f"rule key ({a}, {b}) out of range")
+            if a in self.central or b in self.central:
+                raise ValueError(f"rule key ({a}, {b}) contains a central generator")
             for coeff, word in replacement:
                 if any(g < 0 or g >= len(generators) for g in word):
                     raise ValueError(f"rule for ({a}, {b}) uses unknown generator")
-                if _word_key(word) >= _word_key((a, b)):
+                moving = tuple(g for g in word if g not in self.central)
+                if _word_key(moving) >= _word_key((a, b)):
                     raise ValueError(
                         f"rule for ({a}, {b}) is not order-decreasing at {word}"
                     )
@@ -119,9 +130,15 @@ class NcAlgebraSpec:
         return out
 
     def _letter_times(self, g: int, v: Word) -> Mapping[Word, Laurent]:
-        """g times the normal word v.  Only the pair (g, v[0]) can be
-        reducible; its replacement is folded in from the right onto the
-        normal suffix v[1:].  Results of rule applications are memoized."""
+        """g times the normal word v.  A central g joins v's sorted tail.
+        Otherwise only the pair (g, v[0]) can be reducible; its replacement
+        is folded in from the right onto the normal suffix v[1:].  Results
+        of rule applications are memoized."""
+        if g in self.central:
+            i = len(v)
+            while i and v[i - 1] > g and v[i - 1] in self.central:
+                i -= 1
+            return {v[:i] + (g,) + v[i:]: ONE}
         rule = self.rules.get((g, v[0])) if v else None
         if rule is None:
             return {(g,) + v: ONE}
@@ -233,10 +250,11 @@ class NcElement:
 
 @lru_cache(maxsize=None)
 def collar_algebra() -> NcAlgebraSpec:
-    """Five generators t1 < l1 < c < cp < x.
+    """Five generators t1 < l1 < c < cp < x, with c and cp central.
 
     The crossing generator x q-commutes past the two band generators with
-    central correction terms c and cp; c and cp commute with everything.
+    central correction terms c and cp.  Normal words read t1/l1 letters,
+    then a block of x, then the central tail c^i cp^j.
     """
     T1, L1, C, CP, X = range(5)
     one = Laurent.one()
@@ -251,26 +269,17 @@ def collar_algebra() -> NcAlgebraSpec:
             (Q - Laurent.q_power(-3), (T1,)),
             (one - Laurent.q_power(-2), (CP,)),
         ],
-        (X, C): [(one, (C, X))],
-        (X, CP): [(one, (CP, X))],
-        (C, T1): [(one, (T1, C))],
-        (C, L1): [(one, (L1, C))],
-        (CP, T1): [(one, (T1, CP))],
-        (CP, L1): [(one, (L1, CP))],
-        (CP, C): [(one, (C, CP))],
     }
-    return NcAlgebraSpec("collar", ("t1", "l1", "c", "cp", "x"), rules)
+    return NcAlgebraSpec("collar", ("t1", "l1", "c", "cp", "x"), rules, ("c", "cp"))
 
 
 @lru_cache(maxsize=None)
 def exterior_algebra() -> NcAlgebraSpec:
-    """Five generators l1 < l1p < t < r < x.
+    """Five generators l1 < l1p < t < r < x, with the boundary generator r
+    central.
 
-    x folds the strand generator t into the two band generators plus t*r;
-    the boundary generator r is central.  x past l1p is left free, so the
-    presentation is not confluent: x*r*l1p normalizes to r*x*l1p leftmost
-    first and to x*l1p*r rightmost first.  `normalize()` multiplies letters
-    in from the left, so on such words it gives the right-to-left form.
+    x folds the strand generator t into the two band generators plus t*r,
+    and q-commutes past l1; x past l1p is left free.
     """
     L1, L1P, T, R, X = range(5)
     one = Laurent.one()
@@ -281,19 +290,8 @@ def exterior_algebra() -> NcAlgebraSpec:
             (Q - Laurent.q_power(-3), (T,)),
             (one - Laurent.q_power(-2), (T, R)),
         ],
-        (X, R): [(one, (R, X))],
-        (R, T): [(one, (T, R))],
-        (R, L1): [(one, (L1, R))],
-        (R, L1P): [(one, (L1P, R))],
     }
-    return NcAlgebraSpec("exterior", ("l1", "l1p", "t", "r", "x"), rules)
-
-
-@lru_cache(maxsize=None)
-def presentation_algebra() -> NcAlgebraSpec:
-    """Free container on the exterior generators (no rules); every word is
-    already normal, so derived elements can be stored verbatim."""
-    return NcAlgebraSpec("presentation", ("l1", "l1p", "t", "r", "x"), {})
+    return NcAlgebraSpec("exterior", ("l1", "l1p", "t", "r", "x"), rules, ("r",))
 
 
 # -- two by two matrices over polynomials ---------------------------------------
@@ -517,10 +515,11 @@ class ElementDerivation:
 def derive_e_n(n: int) -> ElementDerivation:
     """Derive the inner part of the n-th central element from the commute
     identity: divide the strand and band coefficient blocks by the common
-    factor q*(q^n - q^-n) and package the quotients as words.
+    factor q*(q^n - q^-n) and package the quotients as words of the
+    exterior presentation, stored as written.
 
-    For n = 1 the element is additionally reduced inside the exterior
-    presentation, where it must collapse to q*(l1 - l1p).
+    For n = 1 the element is additionally normalized, and it must collapse
+    to q*(l1 - l1p).
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
@@ -552,7 +551,7 @@ def derive_e_n(n: int) -> ElementDerivation:
         checks.append("band quotient is not (q^n + q^-n) times the sine family")
 
     # Package as words: x^a r^b t for the strand part, l1 x^k for the band.
-    spec = presentation_algebra()
+    spec = exterior_algebra()
     xg, rg, tg, l1g = (spec.index(g) for g in ("x", "r", "t", "l1"))
     terms: Dict[Word, Laurent] = {}
     for (a, b), coeff in strand_coeff.terms.items():
@@ -563,12 +562,8 @@ def derive_e_n(n: int) -> ElementDerivation:
 
     base_case: Optional[NcElement] = None
     if n == 1:
-        ext = exterior_algebra()
-        raw = NcElement(ext, terms)
-        base_case = raw.normalize()
-        expected = NcElement(
-            ext, {(ext.index("l1"),): Q, (ext.index("l1p"),): -Q}
-        )
+        base_case = element.normalize()
+        expected = NcElement(spec, {spec.word("l1"): Q, spec.word("l1p"): -Q})
         if base_case != expected:
             checks.append("base case does not reduce to q*(l1 - l1p)")
 

@@ -313,7 +313,7 @@ def test_torsion_family_products_and_ladder():
     t = 2 * math.cos(0.9)
     point = build_X1_point(((1, 3),) * 4, t, _sample_b(rng, t), (0, 1))
     basics = epsilon_basics(point)
-    tor = epsilon_torsion_elements(point, 8)
+    tor = epsilon_torsion_elements(point)
     diff = [basics.eps_u[i] - basics.eps_l[i] for i in range(4)]
     for i in range(1, 5):
         partner = (i + 2 - 1) % 4 + 1
@@ -324,10 +324,16 @@ def test_torsion_family_products_and_ladder():
             tor.eps_et_family[i - 1] - diff[partner - 1] * diff[i - 1]
         ) < 1e-12
     assert tor.eps_e == tor.eps_e_family[0]
-    assert tor.eps_en[0] == 2 * tor.eps_e
-    gammas = gamma_values(tor.eps_x, 8)
+    assert tor.eps_x == basics.eps_x
+    # the ladder 2*eps(e)*gamma_n(eps(x)), against the sine family at h = -1
+    ladder = [2 * tor.eps_e * g for g in gamma_values(tor.eps_x, 8)]
     for n in range(1, 9):
-        assert abs(tor.eps_en[n - 1] - 2 * tor.eps_e * gammas[n - 1]) < 1e-12
+        symbolic = sum(
+            coeff.specialize_classical() * tor.eps_x ** mono[0]
+            for mono, coeff in cheb_sine(n).terms.items()
+        )
+        want = 2 * tor.eps_e * symbolic
+        assert abs(ladder[n - 1] - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_zero_locus_roots_kill_a_band_difference():
@@ -355,7 +361,7 @@ def test_nonvanishing_scan_reports():
     rng = random.Random(314)
     t = 2 * math.cos(0.8)
     grid = [_sample_b(rng, t) for _ in range(40)]
-    report = nonvanishing_scan(((1, 3),) * 4, t, grid, 8)
+    report = nonvanishing_scan(((1, 3),) * 4, t, grid)
     assert report.nonvanish_fraction >= 0.95
     assert len(report.records) == 40
     assert len(report.quad_roots) == 4
@@ -391,13 +397,13 @@ def test_nonvanishing_scan_reports():
 
 def test_nonvanishing_scan_rejects_small_grid():
     with pytest.raises(ValueError, match="32"):
-        nonvanishing_scan((0.9,) * 4, 1.4, [2.5, 2.6], 4)
+        nonvanishing_scan((0.9,) * 4, 1.4, [2.5, 2.6])
 
 
 def test_scan_is_deterministic():
     rng = random.Random(99)
     t = 2 * math.cos(1.0)
     grid = [_sample_b(rng, t) for _ in range(32)]
-    a = nonvanishing_scan(((1, 3),) * 4, t, grid, 4).render()
-    b = nonvanishing_scan(((1, 3),) * 4, t, list(grid), 4).render()
+    a = nonvanishing_scan(((1, 3),) * 4, t, grid).render()
+    b = nonvanishing_scan(((1, 3),) * 4, t, list(grid)).render()
     assert a == b

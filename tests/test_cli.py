@@ -194,8 +194,6 @@ def test_chvar_scan_cli_deterministic(capsys):
         "1",
         "--b-samples",
         "32",
-        "--n-max",
-        "4",
         "--seed",
         "3",
     ]
@@ -220,11 +218,14 @@ def test_chvar_scan_rejects_empty_sample_count(capsys):
     assert "--t-samples must be at least 1" in captured.err
 
 
-def test_chvar_scan_rejects_empty_degree_range_before_output(capsys):
-    assert main(["chvar", "scan", "--n-max", "0"]) == 2
+def test_chvar_scan_rejects_n_max_flag(capsys):
+    # The ladder that --n-max sized is gone from the scan, and so is the flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["chvar", "scan", "--n-max", "4"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--n-max must be at least 1" in captured.err
+    assert "unrecognized arguments: --n-max" in captured.err
 
 
 def test_chvar_scan_rejects_bad_tangles(capsys):

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nc_oracles import walk_normalize
+from nc_oracles import unresolved_overlaps, walk_normalize
 from skeinlab.ncrewrite import (
     Mat2Poly,
     NcAlgebraSpec,
@@ -20,7 +20,6 @@ from skeinlab.ncrewrite import (
     exterior_algebra,
     matrix_cosine,
     matrix_cosine_closed,
-    presentation_algebra,
     twisted_companion,
     verify_commute_many,
     verify_matrix_lemma,
@@ -46,6 +45,15 @@ def test_rules_must_decrease() -> None:
         NcAlgebraSpec("bad", ("a", "b"), {(1, 0): [(Laurent.one(), (1, 1))]})
     # A genuinely decreasing rule is accepted.
     NcAlgebraSpec("ok", ("a", "b"), {(1, 0): [(Laurent.one(), (0, 1))]})
+    # Central letters in a replacement do not count against the order.
+    NcAlgebraSpec("ok", ("a", "b", "z"), {(1, 0): [(Laurent.one(), (0, 2, 2))]}, ("z",))
+
+
+def test_rule_keyed_on_central_generator_is_rejected() -> None:
+    with pytest.raises(ValueError, match="central"):
+        NcAlgebraSpec("bad", ("a", "z"), {(1, 0): [(Laurent.one(), ())]}, ("z",))
+    with pytest.raises(ValueError, match="central"):
+        NcAlgebraSpec("bad", ("a", "z"), {(0, 1): [(Laurent.one(), ())]}, ("z",))
 
 
 def test_collar_single_step() -> None:
@@ -60,20 +68,24 @@ def test_collar_single_step() -> None:
 
 
 def test_collar_normal_words_have_trailing_x() -> None:
-    # Every generator commutes past x one way or another, so a normalized
-    # word can carry x only as a suffix block.
+    # A normal word is its non-central letters followed by a sorted tail of
+    # the central c and cp; among the non-central letters x occurs only as
+    # a suffix block, since x moves right past t1 and l1.
     rng = random.Random(20260817)
     spec = collar_algebra()
     xg = spec.index("x")
     for _ in range(80):
         elem = random_element(rng, spec).normalize()
         for word in elem.terms:
-            seen_x = False
-            for g in word:
-                if g == xg:
-                    seen_x = True
-                else:
-                    assert not seen_x, f"x inside word {spec.word_names(word)}"
+            name = spec.word_names(word)
+            k = len(word)
+            while k and word[k - 1] in spec.central:
+                k -= 1
+            head, tail = word[:k], word[k:]
+            assert list(tail) == sorted(tail), f"unsorted central tail in {name}"
+            assert not spec.central & set(head), f"central letter inside {name}"
+            first_x = head.index(xg) if xg in head else len(head)
+            assert set(head[first_x:]) <= {xg}, f"x inside word {name}"
 
 
 def test_confluence_leftmost_vs_rightmost() -> None:
@@ -86,20 +98,9 @@ def test_confluence_leftmost_vs_rightmost() -> None:
             assert elem.normalize() == rightmost
 
 
-def _exterior_confluent(word) -> bool:
-    # The exterior presentation leaves x*l1p free, so x*r*l1p has two
-    # normal forms (r*x*l1p and x*l1p*r).  With at most one x and no l1p
-    # after it, no x can ever stand left of an l1p and every walk agrees.
-    ext = exterior_algebra()
-    x, l1p = ext.index("x"), ext.index("l1p")
-    return x not in word or (word.count(x) == 1 and l1p not in word[word.index(x) :])
-
-
 @st.composite
 def spec_elements(draw, spec: NcAlgebraSpec, max_len: int = 6) -> NcElement:
     words = st.lists(st.integers(0, len(spec.generators) - 1), max_size=max_len).map(tuple)
-    if spec is exterior_algebra():
-        words = words.filter(_exterior_confluent)
     scalars = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=3)
     terms = draw(st.dictionaries(words, scalars.map(Laurent), min_size=1, max_size=4))
     return NcElement(spec, terms)
@@ -115,13 +116,41 @@ def test_normalize_matches_both_reference_walkers(data) -> None:
         assert nf == walk_normalize(elem, rightmost=True)
 
 
-def test_exterior_presentation_is_not_confluent_at_x_r_l1p() -> None:
+def test_exterior_x_r_l1p_normalizes_to_x_l1p_r() -> None:
+    # The word where the exterior presentation used to split: with r
+    # central, every strategy carries it to the tail.
     ext = exterior_algebra()
     elem = NcElement(ext, {ext.word("x", "r", "l1p"): Laurent.one()})
-    leftmost = walk_normalize(elem)
-    rightmost = walk_normalize(elem, rightmost=True)
-    assert leftmost.terms == {ext.word("r", "x", "l1p"): Laurent.one()}
-    assert rightmost.terms == {ext.word("x", "l1p", "r"): Laurent.one()}
+    want = {ext.word("x", "l1p", "r"): Laurent.one()}
+    assert elem.normalize().terms == want
+    assert walk_normalize(elem).terms == want
+    assert walk_normalize(elem, rightmost=True).terms == want
+
+
+def test_presentations_resolve_every_overlap() -> None:
+    for spec in (collar_algebra(), exterior_algebra()):
+        assert unresolved_overlaps(spec) == [], spec.name
+
+
+def test_overlap_check_catches_commuting_rules_for_r() -> None:
+    # The exterior presentation with r as an ordinary letter and its
+    # centrality spelled out as four commuting rules, as it once was.
+    ext = exterior_algebra()
+    L1, L1P, T, R, X = range(5)
+    one = Laurent.one()
+    rules = dict(ext.rules)
+    rules.update({
+        (X, R): [(one, (R, X))],
+        (R, T): [(one, (T, R))],
+        (R, L1): [(one, (L1, R))],
+        (R, L1P): [(one, (L1P, R))],
+    })
+    spec = NcAlgebraSpec("commuting-r", ext.generators, rules)
+    unresolved = unresolved_overlaps(spec)
+    assert [word for word, _, _ in unresolved] == [(X, R, L1P)]
+    (_, left, right), = unresolved
+    assert left.terms == {(R, X, L1P): one}
+    assert right.terms == {(X, L1P, R): one}
 
 
 def test_normalize_matches_reference_walkers_on_route_b() -> None:
@@ -164,8 +193,8 @@ def test_normalize_idempotent_and_multiplicative() -> None:
         assert (a * b).normalize() == (na * b.normalize()).normalize()
 
 
-def test_presentation_algebra_is_free() -> None:
-    spec = presentation_algebra()
+def test_spec_without_rules_leaves_words_unchanged() -> None:
+    spec = NcAlgebraSpec("free", ("l1", "l1p", "t", "r", "x"), {})
     word = spec.word("x", "t", "r", "l1")
     assert spec.normal_form_word(word) == {word: Laurent.one()}
 
@@ -231,7 +260,7 @@ def test_derive_e_n_range() -> None:
 
 
 def test_derive_e_n_word_shapes() -> None:
-    spec = presentation_algebra()
+    spec = exterior_algebra()
     tg, l1g = spec.index("t"), spec.index("l1")
     for n in (1, 2, 5, 9):
         d = derive_e_n(n)
