@@ -30,7 +30,6 @@ __all__ = [
     "epsilon_torsion_elements",
     "epsilon_u_direct",
     "fricke_f",
-    "gamma_values",
     "nonvanishing_scan",
     "pair_with_traces",
     "solve_t123",
@@ -503,19 +502,6 @@ def epsilon_basics(p: ReprPoint) -> EpsilonBasics:
         eps_u=tuple(_eps_u(p, i) for i in range(1, 5)),
         eps_x=p.data.t24 - p.data.t * p.data.t,
     )
-
-
-def gamma_values(x: complex, n_max: int) -> List[complex]:
-    """gamma_1..gamma_n at a numeric point: gamma_1 = 1, gamma_2 = x,
-    gamma_{n+1} = x*gamma_n - gamma_{n-1}."""
-    if n_max < 1:
-        raise ValueError("n_max >= 1 required")
-    vals = [complex(1)]
-    if n_max >= 2:
-        vals.append(complex(x))
-    for _ in range(n_max - 2):
-        vals.append(x * vals[-1] - vals[-2])
-    return vals
 
 
 @dataclass(frozen=True)

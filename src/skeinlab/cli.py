@@ -34,12 +34,12 @@ from .fixtures import (
     shipped_diagram,
     verify_fixture_dir,
 )
+from .ring import m2_mul
 from .skein import (
     DEFAULT_STATE_CAP,
     Board,
     DiagramError,
     SkeinElement,
-    _m2_mul,
     canonical_diagram,
     epsilon_of_element,
     is_laminar,
@@ -248,7 +248,7 @@ def _random_sl2_int(rng: random.Random) -> Tuple[Tuple[int, int], Tuple[int, int
     for _ in range(rng.randint(2, 5)):
         k = rng.randint(-3, 3)
         e = ((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1))
-        m = _m2_mul(m, e)
+        m = m2_mul(m, e)
     return m
 
 
@@ -373,6 +373,11 @@ def _random_trace_t(rng: random.Random, t: complex):
     return g @ np.diag([lam, 1 / lam]).astype(complex) @ inv
 
 
+# Largest |f| a Fricke check passes with: f vanishes on the traces of any
+# triple whose traces all equal t, so what is left is rounding.
+_FRICKE_TOL = 1e-8
+
+
 def _fricke_max_residual(seed: int, trials: int) -> float:
     """Largest |f| over `trials` random triples, spread over 10 trace
     values; the first `trials % 10` of them get one triple more."""
@@ -397,17 +402,23 @@ def _fricke_max_residual(seed: int, trials: int) -> float:
     return worst
 
 
-def _scan_once(
+def _scans(
     tangles: Sequence[Union[complex, Tuple[int, int]]],
-    t: complex,
-    seed_token: str,
+    seed: int,
+    t_samples: int,
     b_samples: int,
 ):
+    """Yield (t, report, (healthy, why)) for each sampled trace t in turn,
+    scanning each on its own seeded grid of b samples."""
     from . import chvar
 
-    rng = random.Random(seed_token)
-    grid = [_sample_b(rng, t) for _ in range(b_samples)]
-    return chvar.nonvanishing_scan(tangles, t, grid)
+    rng = random.Random(f"{seed}:chvar-t")
+    for k in range(t_samples):
+        t = _sample_t(rng)
+        grid_rng = random.Random(f"{seed}:chvar-grid:{k}")
+        grid = [_sample_b(grid_rng, t) for _ in range(b_samples)]
+        report = chvar.nonvanishing_scan(tangles, t, grid)
+        yield t, report, _scan_healthy(report)
 
 
 def _scan_healthy(report) -> Tuple[bool, str]:
@@ -429,17 +440,13 @@ def _scan_healthy(report) -> Tuple[bool, str]:
 def _chvar_suite(seed: int, t_samples: int, b_samples: int) -> List[SuiteItem]:
     def fricke() -> Tuple[str, str]:
         worst = _fricke_max_residual(seed, 200)
-        if worst < 1e-8:
+        if worst < _FRICKE_TOL:
             return "PASS", f"max |f| = {worst:.2e} over 200 triples"
         return "FAIL", f"max |f| = {worst:.2e}"
 
     def x1_scan() -> Tuple[str, str]:
-        rng = random.Random(f"{seed}:chvar-t")
         worst_fraction = 1.0
-        for k in range(t_samples):
-            t = _sample_t(rng)
-            report = _scan_once(((1, 3),) * 4, t, f"{seed}:chvar-grid:{k}", b_samples)
-            healthy, why = _scan_healthy(report)
+        for t, report, (healthy, why) in _scans(((1, 3),) * 4, seed, t_samples, b_samples):
             if not healthy:
                 return "FAIL", f"t={t:.6g}: {why}"
             worst_fraction = min(worst_fraction, report.nonvanish_fraction)
@@ -573,7 +580,7 @@ def _cmd_chvar(args: argparse.Namespace) -> int:
         if args.trials < 1:
             raise ConfigError("--trials must be at least 1")
         worst = _fricke_max_residual(args.seed, args.trials)
-        ok = worst < 1e-8
+        ok = worst < _FRICKE_TOL
         print(f"trials={args.trials} max_abs_f={worst:.3e}")
         print(f"result: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
@@ -583,18 +590,14 @@ def _cmd_chvar(args: argparse.Namespace) -> int:
         raise ConfigError("--b-samples must be at least 32")
     if args.t_samples < 1:
         raise ConfigError("--t-samples must be at least 1")
-    rng = random.Random(f"{args.seed}:chvar-t")
     print(
         f"# tangles={args.tangles} t_samples={args.t_samples} "
         f"b_samples={args.b_samples} seed={args.seed}"
     )
     failed = False
-    for k in range(args.t_samples):
-        t = _sample_t(rng)
-        report = _scan_once(tangles, t, f"{args.seed}:chvar-grid:{k}", args.b_samples)
+    for t, report, (healthy, why) in _scans(tangles, args.seed, args.t_samples, args.b_samples):
         print(f"# t={t:.9g}")
         print(report.render())
-        healthy, why = _scan_healthy(report)
         if not healthy:
             failed = True
             print(f"# unhealthy: {why}")

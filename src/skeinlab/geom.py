@@ -2,8 +2,9 @@
 
 The disc's holes are centred at (1,0) .. (n,0), radius `HOLE_RADIUS`.
 `find_crossings` validates closed rational polylines and finds their
-crossings on a per-diagram integer grid; `ray_events` gives a polyline's
-winding data on its own grid, which `loop_winding` and `arc_winding` sum.
+crossings, each with its orientation, on a per-diagram integer grid;
+`ray_events` gives a polyline's winding data on its own grid, which
+`loop_winding` and `arc_winding` sum.
 Everything is exact: there are no epsilon thresholds anywhere in the
 diagram pipeline.
 """
@@ -16,6 +17,9 @@ from typing import Iterable, List, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 Branch = Tuple[int, int, Fraction]  # (polyline index, segment index, parameter)
+# (point, branch, branch, left): left when the second branch crosses the
+# first from right to left, i.e. the cross product of their edges is > 0.
+Contact = Tuple[Point, Branch, Branch, bool]
 # (edge index, +1 upward or -1 downward, k): the edge crosses the
 # rightward rays from the centres of holes 1..k.
 RayEvent = Tuple[int, int, int]
@@ -27,23 +31,16 @@ class DiagramError(ValueError):
     """Malformed or geometrically invalid diagram input."""
 
 
-def sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def cross(u: Point, v: Point) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def fmt_point(p: Point) -> str:
     return f"({p[0]},{p[1]})"
 
 
 def find_crossings(
     n_holes: int, polylines: Sequence[Sequence[Point]], ids: Sequence[str]
-) -> List[Tuple[Point, Branch, Branch]]:
+) -> List[Contact]:
     """Validate a diagram on the disc with `n_holes` holes and return its
-    crossings sorted by point, without over/under data.
+    crossings sorted by point, without over/under data, each with the
+    orientation of its two branches.
 
     Every test runs on Python ints: the diagram is scaled once by the LCM
     of its coordinate denominators and of the hole radius's, so that the
@@ -126,7 +123,7 @@ def find_crossings(
         active.append(box)
     # Classifying in edge-pair order raises the first defect in that order.
     pairs.sort()
-    contacts: List[Tuple[Point, Branch, Branch]] = []
+    contacts: List[Contact] = []
     for idx1, idx2 in pairs:
         p1, s1, ax, ay, bx, by = segs[idx1]
         p2, s2, cx, cy, dx, dy = segs[idx2]
@@ -139,7 +136,8 @@ def find_crossings(
             # Contact at a + t(b-a) = c + u(d-c), t = tn/denom, u = un/denom.
             tn = qx * sy - qy * sx
             un = qx * ry - qy * rx
-            if denom < 0:
+            left = denom > 0  # the edges' cross product, scaled
+            if not left:
                 denom, tn, un = -denom, -tn, -un
             # Consecutive edges that are not parallel meet only at their joint.
             if not (0 <= tn <= denom and 0 <= un <= denom) or adjacent:
@@ -152,7 +150,7 @@ def find_crossings(
                     f"non-transverse contact between '{ids[p1]}' and '{ids[p2]}' "
                     f"at {fmt_point(pt)}"
                 )
-            contacts.append((pt, (p1, s1, t), (p2, s2, Fraction(un, denom))))
+            contacts.append((pt, (p1, s1, t), (p2, s2, Fraction(un, denom)), left))
             continue
         if qx * ry - qy * rx:
             continue  # parallel, not collinear
@@ -181,7 +179,7 @@ def find_crossings(
             f"collinear overlap between '{ids[p1]}' and '{ids[p2]}' near {fmt_point(c)}"
         )
     seen = set()
-    for pt, _, _ in contacts:
+    for pt, *_ in contacts:
         if pt in seen:
             raise DiagramError(f"triple point at {fmt_point(pt)}")
         seen.add(pt)

@@ -1,15 +1,18 @@
 """Word rewriting in q-commutation algebras, with exact verifiers.
 
 A small rewriting engine normalizes noncommutative words against a fixed
-set of order-decreasing replacement rules.  Two concrete presentations are
-provided: a five-generator "collar" algebra whose crossing generator
-q-commutes past two band generators modulo central correction terms, and a
-five-generator "exterior" algebra used to reduce the base-case element.
+set of order-decreasing replacement rules; central generators are kept as
+a sorted tail of every normal word instead of by commuting rules.  Two
+concrete presentations are provided: a five-generator "collar" algebra
+whose crossing generator q-commutes past two band generators modulo the
+central correction terms c and cp, and a five-generator "exterior"
+algebra, with r central, used to reduce the base-case element.
 
 On top of the engine sit three exact verifiers:
 
   * the closed form of the cosine-kind family on a q-twisted companion
-    matrix (`verify_matrix_lemma`),
+    matrix (`verify_matrix_lemma`); matrices are pairs of rows of `CPoly`
+    entries, multiplied by `ring.m2_mul`,
   * the central-element commutation identity checked along two independent
     routes (`verify_commute_many`),
   * the coefficient-level derivation of the n-th central element
@@ -35,10 +38,12 @@ from .ring import (
     ONE,
     CPoly,
     Laurent,
+    Matrix2,
     Q,
     QINV,
     Q_PLUS_QINV,
     accumulate,
+    m2_mul,
     q_power_diff,
     q_power_sum,
 )
@@ -297,93 +302,49 @@ def exterior_algebra() -> NcAlgebraSpec:
 # -- two by two matrices over polynomials ---------------------------------------
 
 
-class Mat2Poly:
-    """2x2 matrix with single-variable polynomial entries."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: CPoly, b: CPoly, c: CPoly, d: CPoly) -> None:
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def identity(cls, scale: "Laurent | int" = 1) -> "Mat2Poly":
-        diag = CPoly.constant(scale, VARS_X)
-        zero = CPoly.zero(VARS_X)
-        return cls(diag, zero, zero, diag)
-
-    def __sub__(self, other: "Mat2Poly") -> "Mat2Poly":
-        return Mat2Poly(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
-
-    def __mul__(self, other: "Mat2Poly") -> "Mat2Poly":
-        return Mat2Poly(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mat2Poly):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Mat2Poly([[{self.a.render()}, {self.b.render()}], "
-            f"[{self.c.render()}, {self.d.render()}]])"
-        )
-
-
-def twisted_companion() -> Mat2Poly:
-    """The q-twisted companion matrix.
+def twisted_companion() -> Matrix2[CPoly]:
+    """The q-twisted companion matrix, as a pair of rows.
 
     Entries, row by row: q^2 x, q - q^-3, q^-1 - q^3, q^-2 x.
     """
     x = CPoly.variable("x", VARS_X)
-    return Mat2Poly(
-        x * Laurent.q_power(2),
-        CPoly.constant(Laurent({2: 1, -6: -1}), VARS_X),
-        CPoly.constant(Laurent({-2: 1, 6: -1}), VARS_X),
-        x * Laurent.q_power(-2),
+    return (
+        (x * Laurent.q_power(2), CPoly.constant(Laurent({2: 1, -6: -1}), VARS_X)),
+        (CPoly.constant(Laurent({-2: 1, 6: -1}), VARS_X), x * Laurent.q_power(-2)),
     )
 
 
-_matrix_cosine_cache: List[Mat2Poly] = []
+_matrix_cosine_cache: List[Matrix2[CPoly]] = []
 
 
-def matrix_cosine(n: int) -> Mat2Poly:
+def matrix_cosine(n: int) -> Matrix2[CPoly]:
     """Cosine-kind family applied to the twisted companion matrix, by the
     recursion M(n+1) = A M(n) - M(n-1)."""
     if n < 0:
         raise ValueError("defined for n >= 0")
     if not _matrix_cosine_cache:
-        _matrix_cosine_cache.append(Mat2Poly.identity(2))
+        two, zero = CPoly.constant(2, VARS_X), CPoly.zero(VARS_X)
+        _matrix_cosine_cache.append(((two, zero), (zero, two)))
         _matrix_cosine_cache.append(twisted_companion())
     A = _matrix_cosine_cache[1]
     while len(_matrix_cosine_cache) <= n:
         k = len(_matrix_cosine_cache)
-        _matrix_cosine_cache.append(
-            A * _matrix_cosine_cache[k - 1] - _matrix_cosine_cache[k - 2]
-        )
+        (a, b), (c, d) = m2_mul(A, _matrix_cosine_cache[k - 1])
+        (e, f), (g, h) = _matrix_cosine_cache[k - 2]
+        _matrix_cosine_cache.append(((a - e, b - f), (c - g, d - h)))
     return _matrix_cosine_cache[n]
 
 
-def matrix_cosine_closed(n: int) -> Mat2Poly:
+def matrix_cosine_closed(n: int) -> Matrix2[CPoly]:
     """Closed form of matrix_cosine in terms of the sine-kind family."""
     band = cheb_sine(n)
-    return Mat2Poly(
-        qweighted_cosine(n),
-        band * (QINV * q_power_diff(2 * n)),
-        band * (Q * q_power_diff(2 * n)) * Laurent.integer(-1),
-        cheb_sine(n + 1) * Laurent.q_power(-2 * n)
-        - cheb_sine(n - 1) * Laurent.q_power(2 * n),
+    return (
+        (qweighted_cosine(n), band * (QINV * q_power_diff(2 * n))),
+        (
+            band * (Q * q_power_diff(2 * n)) * Laurent.integer(-1),
+            cheb_sine(n + 1) * Laurent.q_power(-2 * n)
+            - cheb_sine(n - 1) * Laurent.q_power(2 * n),
+        ),
     )
 
 

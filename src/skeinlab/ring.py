@@ -8,7 +8,8 @@ recursions, rewriting coefficients, diagram weights) works over this ring,
 so all arithmetic here is exact; floats appear only in `evaluate`.
 
 `CPoly` is a thin multivariate polynomial layer over the scalars with an
-exact division routine used to verify divisibility identities.
+exact division routine used to verify divisibility identities.  `m2_mul`
+is the one 2x2 matrix product, for entries from any of these rings.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from typing import Dict, Hashable, Mapping, Tuple, TypeVar
 
 Monomial = Tuple[int, ...]
 _Key = TypeVar("_Key", bound=Hashable)
+_Entry = TypeVar("_Entry")
+Matrix2 = Tuple[Tuple[_Entry, _Entry], Tuple[_Entry, _Entry]]
 
 
 class NonExactDivision(ArithmeticError):
@@ -281,6 +284,17 @@ def accumulate(acc: Dict[_Key, Laurent], key: _Key, coeff: Laurent) -> None:
         acc[key] = total
     else:
         acc.pop(key, None)
+
+
+def m2_mul(a: "Matrix2[_Entry]", b: "Matrix2[_Entry]") -> "Matrix2[_Entry]":
+    """Product of two 2x2 matrices, each a pair of rows, over any ring:
+    ints, complex numbers, `Laurent` or `CPoly` entries."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return (
+        (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+        (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+    )
 
 
 # Frequently used scalars.

@@ -28,17 +28,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .geom import (
     HOLE_RADIUS,
     Branch,
+    Contact,
     DiagramError,
     Point,
     arc_winding,
-    cross,
     find_crossings,
     fmt_point,
     loop_winding,
     ray_events,
-    sub,
 )
-from .ring import Laurent, ONE, accumulate
+from .ring import Laurent, Matrix2, ONE, accumulate, m2_mul
 
 Component = Tuple[int, ...]
 Multicurve = Tuple[Component, ...]
@@ -207,6 +206,7 @@ class Crossing:
     point: Point
     branches: Tuple[Branch, Branch]
     over_branch: int  # index into `branches`
+    left: bool  # the second branch crosses the first from right to left
 
 
 class Diagram:
@@ -237,7 +237,7 @@ class Diagram:
         board: Board,
         polys: Sequence[Tuple[Point, ...]],
         ids: Sequence[str],
-        contacts: Sequence[Tuple[Point, Branch, Branch]],
+        contacts: Sequence[Contact],
         over_tokens: Sequence[str],
     ) -> None:
         if len(over_tokens) != len(contacts):
@@ -246,9 +246,9 @@ class Diagram:
                 f"over list has {len(over_tokens)}"
             )
         crossings: List[Crossing] = []
-        for (pt, br1, br2), token in zip(contacts, over_tokens):
+        for (pt, br1, br2, left), token in zip(contacts, over_tokens):
             crossings.append(
-                Crossing(pt, (br1, br2), self._over_from_token(ids, pt, br1, br2, token))
+                Crossing(pt, (br1, br2), self._over_from_token(ids, pt, br1, br2, token), left)
             )
         self.board = board
         self.polylines: Tuple[Tuple[Point, ...], ...] = tuple(polys)
@@ -294,7 +294,7 @@ class Diagram:
         polys = [tuple(p) for p in polylines]
         contacts = find_crossings(board.n_holes, polys, ids)
         tokens: List[str] = []
-        for pt, br1, br2 in contacts:
+        for pt, br1, br2, _ in contacts:
             which = over_of(pt, br1, br2)
             if br1[0] == br2[0]:
                 g_over = (br1 if which == 0 else br2)
@@ -410,13 +410,6 @@ def render_diagram(d: Diagram) -> str:
 _IN, _OUT = 0, 1
 
 
-def _branch_direction(polylines, br: Branch) -> Point:
-    poly = polylines[br[0]]
-    a = poly[br[1]]
-    b = poly[(br[1] + 1) % len(poly)]
-    return sub(b, a)
-
-
 def _classify_windings(w: Sequence[int]) -> Component:
     """Enclosed hole set of an embedded loop from its winding vector."""
     nonzero = [x for x in w if x != 0]
@@ -449,9 +442,11 @@ def _unpack(packed: int, n_holes: int, width: int) -> Tuple[int, ...]:
     return tuple(((biased >> (h * width)) & mask) - half for h in range(n_holes))
 
 
-def _smoothing_pairs(d_over: Point, d_under: Point, base: int, ob: int):
+def _smoothing_pairs(under_left: bool, base: int, ob: int):
     """Port pairings (p, q, r, s: p-q and r-s joined) of the two smoothings
-    of the crossing whose ports are base + 2*branch + _IN/_OUT.
+    of the crossing whose ports are base + 2*branch + _IN/_OUT, where the
+    under strand crosses the over strand from right to left when
+    `under_left` holds.
 
     The h = q^{1/2} smoothing joins each over-strand end to the
     under-strand end lying clockwise from it; the convention is pinned by
@@ -462,7 +457,7 @@ def _smoothing_pairs(d_over: Point, d_under: Point, base: int, ob: int):
     u_in, u_out = base + 2 * (1 - ob) + _IN, base + 2 * (1 - ob) + _OUT
     in_out = (o_in, u_out, o_out, u_in)
     in_in = (o_in, u_in, o_out, u_out)
-    if cross(d_over, d_under) > 0:
+    if under_left:
         return in_out, in_in
     return in_in, in_out
 
@@ -528,9 +523,7 @@ def _resolve_component(
     for k in cross_ids:
         crossing = d.crossings[k]
         ob = crossing.over_branch
-        d_over = _branch_direction(d.polylines, crossing.branches[ob])
-        d_under = _branch_direction(d.polylines, crossing.branches[1 - ob])
-        pairings.append(_smoothing_pairs(d_over, d_under, base[k], ob))
+        pairings.append(_smoothing_pairs(crossing.left == (ob == 0), base[k], ob))
 
     classes: Dict[int, Component] = {}  # packed loop winding -> hole set
     tally: Dict[Tuple[Multicurve, int, int], int] = {}
@@ -722,8 +715,8 @@ def _node_polyline(node: _Node) -> List[Point]:
     return pts
 
 
-def canonical_diagram(m: Iterable[Iterable[int]], board: Board) -> Diagram:
-    """Crossingless diagram resolving to exactly 1 times the multicurve.
+def _canonical_bands(m: Iterable[Iterable[int]], board: Board) -> List[List[Point]]:
+    """Polylines of the canonical layout of a multicurve, outermost first.
 
     Each component becomes an x-monotone closed band: horizontal top and
     bottom profiles constant near each hole column, joined by vertical
@@ -744,9 +737,14 @@ def canonical_diagram(m: Iterable[Iterable[int]], board: Board) -> Diagram:
         node.ext = Fraction(total - k, 8 * (total + 1))
     for s in range(1, board.n_holes + 1):
         _place_kids(roots, s, -_HALF, _HALF, owner_pins=True)
-    polylines = [_node_polyline(node) for node in order]
-    ids = [f"k{i}" for i in range(len(order))]
-    return Diagram(board, polylines, [], ids)
+    return [_node_polyline(node) for node in order]
+
+
+def canonical_diagram(m: Iterable[Iterable[int]], board: Board) -> Diagram:
+    """Crossingless diagram resolving to exactly 1 times the multicurve,
+    with the bands of `_canonical_bands`."""
+    polylines = _canonical_bands(m, board)
+    return Diagram(board, polylines, [], [f"k{i}" for i in range(len(polylines))])
 
 
 # ---------------------------------------------------------------------------
@@ -771,31 +769,29 @@ def stacking_diagram(ma: Multicurve, mb: Multicurve, board: Board) -> Diagram:
     union = tuple(sorted(ma + mb))
     if is_laminar(union):
         return canonical_diagram(union, board)
-    da = canonical_diagram(ma, board)
-    db = canonical_diagram(mb, board)
+    bands_a = _canonical_bands(ma, board)
+    bands_b = _canonical_bands(mb, board)
+    n_a = len(bands_a)
+    ids = [f"a{i}" for i in range(n_a)] + [f"b{i}" for i in range(len(bands_b))]
+
+    def a_over(pt: Point, br1: Branch, br2: Branch) -> int:
+        first_is_a = br1[0] < n_a
+        second_is_a = br2[0] < n_a
+        if first_is_a == second_is_a:
+            raise DiagramError(
+                f"stacking overlay self-contact at {fmt_point(pt)}"
+            )
+        return 0 if first_is_a else 1
+
     cx, cy = _STACK_CENTER
     last_error: Optional[Exception] = None
     for p in _PERTURB_PRIMES:
         scale = 1 + Fraction(1, p)
-        polys: List[Sequence[Point]] = list(da.polylines)
-        for poly in db.polylines:
+        polys: List[Sequence[Point]] = list(bands_a)
+        for poly in bands_b:
             polys.append(
                 tuple((cx + scale * (x - cx), cy + scale * (y - cy)) for x, y in poly)
             )
-        ids = [f"a{i}" for i in range(len(da.polylines))] + [
-            f"b{i}" for i in range(len(db.polylines))
-        ]
-        n_a = len(da.polylines)
-
-        def a_over(pt: Point, br1: Branch, br2: Branch) -> int:
-            first_is_a = br1[0] < n_a
-            second_is_a = br2[0] < n_a
-            if first_is_a == second_is_a:
-                raise DiagramError(
-                    f"stacking overlay self-contact at {fmt_point(pt)}"
-                )
-            return 0 if first_is_a else 1
-
         try:
             return Diagram.from_over_rule(board, polys, ids, a_over)
         except DiagramError as exc:
@@ -838,14 +834,7 @@ def multiply(
 @dataclass
 class IdentityReport:
     ok: bool
-    lhs_value: SkeinElement
-    rhs_value: SkeinElement
     first_discrepancy: Optional[str] = None
-
-    def render(self) -> str:
-        if self.ok:
-            return "PASS"
-        return f"FAIL: {self.first_discrepancy}"
 
 
 def verify_skein_identity(
@@ -866,39 +855,23 @@ def verify_skein_identity(
         rhs_value = rhs_value + resolve(d, state_cap).scale(coeff)
     diff = lhs_value - rhs_value
     if diff.is_zero():
-        return IdentityReport(True, lhs_value, rhs_value)
+        return IdentityReport(True)
     m = min(diff.terms)
     detail = (
         f"{render_multicurve(m)}: lhs={lhs_value.terms.get(m, Laurent.zero()).render()} "
         f"rhs={rhs_value.terms.get(m, Laurent.zero()).render()}"
     )
-    return IdentityReport(False, lhs_value, rhs_value, detail)
+    return IdentityReport(False, detail)
 
 
-Matrix2 = Tuple[Tuple[complex, complex], Tuple[complex, complex]]
-
-
-def _as_matrix(m: object) -> Matrix2:
+def _as_matrix(m: object) -> Matrix2[complex]:
     rows = [tuple(complex(v) for v in row) for row in m]  # type: ignore[union-attr]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError("representation matrices must be 2x2")
     return (rows[0], rows[1])  # type: ignore[return-value]
 
 
-def _m2_mul(a: Matrix2, b: Matrix2) -> Matrix2:
-    return (
-        (
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ),
-        (
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ),
-    )
-
-
-_M2_ID: Matrix2 = ((1.0, 0.0), (0.0, 1.0))
+_M2_ID: Matrix2[complex] = ((1.0, 0.0), (0.0, 1.0))
 
 
 def epsilon_of_element(a: SkeinElement, rho: Sequence[object]) -> complex:
@@ -924,7 +897,7 @@ def epsilon_of_element(a: SkeinElement, rho: Sequence[object]) -> complex:
         for comp in m:
             prod = _M2_ID
             for i in comp:
-                prod = _m2_mul(prod, mats[i - 1])
+                prod = m2_mul(prod, mats[i - 1])
             term *= -(prod[0][0] + prod[1][1])
         value += term
     return value

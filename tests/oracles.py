@@ -15,7 +15,6 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from skeinlab.geom import cross, sub
 from skeinlab.ring import Laurent
 from skeinlab.skein import Board, Diagram, DiagramError, Multicurve
 
@@ -468,6 +467,14 @@ POINT = "point"
 OVERLAP = "overlap"
 
 
+def sub(a: Point, b: Point) -> Point:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def cross(u: Point, v: Point) -> Fraction:
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def dot(u: Point, v: Point) -> Fraction:
     return u[0] * v[0] + u[1] * v[1]
 
@@ -576,9 +583,11 @@ def _fmt(p: Point) -> str:
 
 def fraction_find_crossings(
     n_holes: int, polylines: Sequence[Sequence[Point]], ids: Sequence[str]
-) -> List[Tuple[Point, Tuple[int, int, Fraction], Tuple[int, int, Fraction]]]:
+) -> List[Tuple[Point, Tuple[int, int, Fraction], Tuple[int, int, Fraction], bool]]:
     """Validate a diagram and list its crossings with Fraction predicates
-    over every segment pair, raising the engine's `DiagramError` texts."""
+    over every segment pair, raising the engine's `DiagramError` texts.
+    Each crossing ends with its orientation: whether the cross product of
+    the two branches' edges is positive."""
     radius = Fraction(1, 4)
     if len(ids) != len(polylines):
         raise DiagramError("curve id list does not match polyline list")
@@ -629,9 +638,9 @@ def fraction_find_crossings(
                 raise DiagramError(
                     f"non-transverse contact between '{ids[p1]}' and '{ids[p2]}' at {_fmt(pt)}"
                 )
-            contacts.append((pt, (p1, s1, t), (p2, s2, u)))
+            contacts.append((pt, (p1, s1, t), (p2, s2, u), cross(sub(b1, a1), sub(b2, a2)) > 0))
     seen = set()
-    for pt, _, _ in contacts:
+    for pt, *_ in contacts:
         if pt in seen:
             raise DiagramError(f"triple point at {_fmt(pt)}")
         seen.add(pt)

@@ -6,8 +6,10 @@ every state rebuilds a port-keyed `partner` dict, every loop sums a
 winding list hole by hole, and every state adds its own Laurent scalar.
 It shares the arcs (`geom.arc_winding`) and the loop classification with
 the engine, so it checks the kernel's numbering, packing and tally, not
-the geometry.  It lives apart from `oracles.py`, which the benchmark
-compiles inside its measured process.
+the geometry.  Each crossing's orientation is the one exception: it comes
+from the `Fraction` cross product of the branches' edges, not from the
+integer kernel's `Crossing.left`.  It lives apart from `oracles.py`,
+which the benchmark compiles inside its measured process.
 """
 from __future__ import annotations
 
@@ -15,14 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from skeinlab.geom import arc_winding, cross, loop_winding, ray_events
+from oracles import cross, sub
+from skeinlab.geom import Branch, Point, arc_winding, loop_winding, ray_events
 from skeinlab.ring import ONE, Laurent, accumulate
 from skeinlab.skein import (
     MINUS_ALPHA,
     Component,
     Diagram,
     Multicurve,
-    _branch_direction,
     _classify_windings,
     _crossing_groups,
     is_laminar,
@@ -37,6 +39,13 @@ class _Arc:
     start: Port  # leaves this crossing/branch
     end: Port  # arrives at this crossing/branch
     winding: Tuple[int, ...]
+
+
+def _branch_direction(polylines, br: Branch) -> Point:
+    poly = polylines[br[0]]
+    a = poly[br[1]]
+    b = poly[(br[1] + 1) % len(poly)]
+    return sub(b, a)
 
 
 def _smoothing_pairs(d_over, d_under, k: int, ob: int):

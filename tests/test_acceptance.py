@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from numeric_oracles import gamma_values
 from oracles import (
     all_laminar_multisets,
     naive_resolve,
@@ -30,7 +31,6 @@ from skeinlab.chvar import (
     build_X1_point,
     epsilon_torsion_elements,
     fricke_f,
-    gamma_values,
     nonvanishing_scan,
 )
 from skeinlab.fixtures import emit_fixture_templates, verify_fixture_dir

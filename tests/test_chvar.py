@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from numeric_oracles import gamma_values
 from skeinlab.chvar import (
     bridge_representation,
     build_X1_point,
@@ -17,7 +18,6 @@ from skeinlab.chvar import (
     epsilon_torsion_elements,
     epsilon_u_direct,
     fricke_f,
-    gamma_values,
     nonvanishing_scan,
     pair_with_traces,
     solve_t123,

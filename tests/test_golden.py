@@ -1,0 +1,94 @@
+"""Golden-output tests: exact CLI commands against their recorded stdout.
+
+Each case runs `skeinlab` in process and compares its output byte for
+byte with a file under `tests/golden/`.  `verify all` and `chvar` are
+left out: their float digits depend on the BLAS build.  The 3-hole
+diagrams are committed next to the outputs: `a3` encloses holes 1 and 3,
+`b3` holes 1 and 2, `ab3` is `a3` stacked on `b3` (4 crossings), and
+`kink3` is `a3` with one positive curl, so its value shows the smoothing
+orientation: -q^{3/2} times `a3`.
+
+After a deliberate output change, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from skeinlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = "{fixtures}"  # placeholder for the directory `fixtures emit` fills
+
+# (golden file, argv); every command exits 0.
+CASES = [
+    ("cheby_verify_12.txt", ["cheby", "verify", "--max-n", "12"]),
+    ("ncverify_12_a.txt", ["ncverify", "--max-n", "12", "--route", "a"]),
+    ("ncverify_12_b.txt", ["ncverify", "--max-n", "12", "--route", "b"]),
+    ("ncverify_12_both.txt", ["ncverify", "--max-n", "12", "--route", "both"]),
+    ("resolve_ab3.txt", ["skein", "resolve", str(GOLDEN / "ab3.diagram")]),
+    ("multiply_a3_b3.txt", ["skein", "multiply", str(GOLDEN / "a3.diagram"), str(GOLDEN / "b3.diagram")]),
+    ("resolve_kink3.txt", ["skein", "resolve", str(GOLDEN / "kink3.diagram")]),
+    ("multiply_kink3_b3.txt", ["skein", "multiply", str(GOLDEN / "kink3.diagram"), str(GOLDEN / "b3.diagram")]),
+    ("multiply_b3_a3.txt", ["skein", "multiply", str(GOLDEN / "b3.diagram"), str(GOLDEN / "a3.diagram")]),
+    ("resolve_r2poked.txt", ["skein", "resolve", f"{FIXTURES}/r2poked.diagram"]),
+    ("multiply_r2poked.txt", ["skein", "multiply", f"{FIXTURES}/r2poked.diagram", f"{FIXTURES}/r2poked.diagram"]),
+    ("verify_fixture.txt", ["skein", "verify-fixture", FIXTURES]),
+]
+
+
+def _emit(target: Path) -> str:
+    """Emit the fixture templates into `target`; return their manifest."""
+    assert main(["fixtures", "emit", "--dir", str(target)]) == 0
+    return (target / "manifest.txt").read_text(encoding="utf-8")
+
+
+def _run(argv, fixtures: Path, capsys) -> str:
+    capsys.readouterr()
+    assert main([a.replace(FIXTURES, str(fixtures)) for a in argv]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def fixtures_dir(tmp_path_factory):
+    target = tmp_path_factory.mktemp("golden") / "fx"
+    _emit(target)
+    return target
+
+
+def test_fixtures_emit_manifest(tmp_path, capsys):
+    manifest = _emit(tmp_path / "fx")
+    capsys.readouterr()
+    assert manifest == (GOLDEN / "fixtures_manifest.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_output_matches_golden(name, argv, fixtures_dir, capsys):
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert _run(argv, fixtures_dir, capsys) == expected
+
+
+def _rewrite() -> None:
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        fixtures = Path(tmp) / "fx"
+        with contextlib.redirect_stdout(io.StringIO()):
+            manifest = _emit(fixtures)
+        (GOLDEN / "fixtures_manifest.txt").write_text(manifest, encoding="utf-8")
+        for name, argv in CASES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([a.replace(FIXTURES, str(fixtures)) for a in argv])
+            if code != 0:
+                sys.exit(f"{name}: exit {code}")
+            (GOLDEN / name).write_text(out.getvalue(), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _rewrite()

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from nc_oracles import unresolved_overlaps, walk_normalize
 from skeinlab.ncrewrite import (
-    Mat2Poly,
     NcAlgebraSpec,
     NcElement,
     _band_coefficient,
@@ -25,7 +24,7 @@ from skeinlab.ncrewrite import (
     verify_matrix_lemma,
 )
 from skeinlab.cheby import VARS_X, VARS_XR, boundary_form
-from skeinlab.ring import CPoly, Laurent, Q, QINV, Q_PLUS_QINV
+from skeinlab.ring import CPoly, Laurent, Q, QINV, Q_PLUS_QINV, m2_mul
 
 
 def random_element(rng: random.Random, spec: NcAlgebraSpec, max_len: int = 5) -> NcElement:
@@ -202,18 +201,20 @@ def test_spec_without_rules_leaves_words_unchanged() -> None:
 def test_twisted_companion_entries() -> None:
     A = twisted_companion()
     x = CPoly.variable("x", VARS_X)
-    assert A.a == x * Laurent.q_power(2)
-    assert A.b == CPoly.constant(Q - Laurent.q_power(-3), VARS_X)
-    assert A.c == CPoly.constant(QINV - Laurent.q_power(3), VARS_X)
-    assert A.d == x * Laurent.q_power(-2)
+    assert A[0][0] == x * Laurent.q_power(2)
+    assert A[0][1] == CPoly.constant(Q - Laurent.q_power(-3), VARS_X)
+    assert A[1][0] == CPoly.constant(QINV - Laurent.q_power(3), VARS_X)
+    assert A[1][1] == x * Laurent.q_power(-2)
 
 
 def test_matrix_cosine_recursion_base() -> None:
     A = twisted_companion()
-    assert matrix_cosine(0) == Mat2Poly.identity(2)
+    two, zero = CPoly.constant(2, VARS_X), CPoly.zero(VARS_X)
+    (a, b), (c, d) = m2_mul(A, A)
+    assert matrix_cosine(0) == ((two, zero), (zero, two))
     assert matrix_cosine(1) == A
-    assert matrix_cosine(2) == A * A - Mat2Poly.identity(2)
-    assert matrix_cosine_closed(0) == Mat2Poly.identity(2)
+    assert matrix_cosine(2) == ((a - two, b), (c, d - two))
+    assert matrix_cosine_closed(0) == ((two, zero), (zero, two))
     assert matrix_cosine_closed(1) == A
 
 

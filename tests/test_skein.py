@@ -365,7 +365,7 @@ def test_winding_kernel_on_overlay_crossings():
     contacts = find_crossings(5, polylines, [f"c{i}" for i in range(len(polylines))])
     assert len(contacts) >= 4
     for pi, poly in enumerate(polylines):
-        gs = sorted(br[1] + br[2] for _, *branches in contacts for br in branches if br[0] == pi)
+        gs = sorted(br[1] + br[2] for _, *branches, _ in contacts for br in branches if br[0] == pi)
         _check_windings(5, poly, gs)
 
 
@@ -497,8 +497,8 @@ def test_r3_slide_invariance():
             d2 = _r3_diagram(2, heights, scale, shift)
             assert len(d1.crossings) == 8 and len(d2.crossings) == 8
             report = verify_skein_identity([(1, d1)], [(1, d2)])
-            assert report.ok, report.render()
-            assert report.render() == "PASS"
+            assert report.ok, report.first_discrepancy
+            assert report.first_discrepancy is None
 
 
 def test_verify_identity_reports_discrepancy():
@@ -506,7 +506,7 @@ def test_verify_identity_reports_discrepancy():
     free = Diagram(b0, [rect(0, 0, 1, 1)], [])
     report = verify_skein_identity([(1, free)], [(Laurent.h_power(2), free)])
     assert not report.ok
-    assert report.render().startswith("FAIL: {}")
+    assert report.first_discrepancy.startswith("{}: ")
 
 
 # ---------------------------------------------------------------------------
