@@ -26,9 +26,7 @@ __all__ = [
     "build_X1_point",
     "conjugator",
     "epsilon_basics",
-    "epsilon_l_direct",
     "epsilon_torsion_elements",
-    "epsilon_u_direct",
     "fricke_f",
     "nonvanishing_scan",
     "pair_with_traces",
@@ -112,6 +110,17 @@ def pair_with_traces(t: complex, t12: complex) -> Tuple[Mat, Mat]:
     return _check_det(a1, "a1"), _check_det(a2, "a2")
 
 
+def _quadratic_roots(a, b, c) -> Tuple[complex, complex]:
+    """Both roots of a*r^2 + b*r + c, sorted by (real, imag); a double
+    root is returned twice."""
+    disc = np.sqrt(complex(b * b - 4 * a * c))
+    roots = sorted(
+        ((-b - disc) / (2 * a), (-b + disc) / (2 * a)),
+        key=lambda z: (z.real, z.imag),
+    )
+    return complex(roots[0]), complex(roots[1])
+
+
 def solve_t123(t12: complex, t13: complex, t23: complex, t: complex) -> Tuple[complex, complex]:
     """Both roots of the monic quadratic r -> fricke_f(t12, t13, t23, r, t);
     a double root is returned twice.  Roots are sorted by (real, imag)."""
@@ -124,12 +133,7 @@ def solve_t123(t12: complex, t13: complex, t23: complex, t: complex) -> Tuple[co
         + t12 * t13 * t23
         - 4
     )
-    disc = np.sqrt(complex(bb * bb - 4 * cc))
-    roots = sorted(
-        ((-bb - disc) / 2, (-bb + disc) / 2),
-        key=lambda z: (z.real, z.imag),
-    )
-    return complex(roots[0]), complex(roots[1])
+    return _quadratic_roots(1, bb, cc)
 
 
 def third_with_traces(
@@ -147,9 +151,8 @@ def third_with_traces(
     fricke_f constraint; a failure beyond 1e-6 is reported as such.
     """
     basis = (np.eye(2, dtype=complex), a1, a2, a1 @ a2)
-    probes = (np.eye(2, dtype=complex), a1, a2, a1 @ a2)
     system = np.array(
-        [[_tr(p @ b) for b in basis] for p in probes], dtype=complex
+        [[_tr(p @ b) for b in basis] for p in basis], dtype=complex
     )
     rhs = np.array([t, t13, t23, t123], dtype=complex)
     if abs(np.linalg.det(system)) < 1e-6:
@@ -251,13 +254,17 @@ def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
 
     The two meridians u, v satisfy W u = v W where W alternates
     u^{e_1} v^{e_2} u^{e_3} ... over b-1 letters with e_i = (-1)^floor(ia/b).
-    Parametrizing v by s = tr(uv) turns the relator into polynomial
-    conditions in s, solved by companion-matrix root-finding.
+    That exponent rule needs an odd a, so an even a is replaced by a - b,
+    which gives the same link.  Parametrizing v by s = tr(uv) turns the
+    relator into polynomial conditions in s, solved by companion-matrix
+    root-finding.
     """
     if b <= 2:
         raise ValueError("b > 2 required")
     if math.gcd(abs(a), b) != 1:
         raise ValueError("a/b must be in lowest terms")
+    if a % 2 == 0:
+        a -= b
     t = complex(t)
     if abs(t - 2) < _DEGENERATE_TOL or abs(t + 2) < _DEGENERATE_TOL:
         raise ValueError("t = +-2 is degenerate")
@@ -337,8 +344,6 @@ def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
 @dataclass(frozen=True)
 class TraceData:
     t: complex
-    s: Tuple[complex, complex, complex, complex]
-    b: complex
     t12: complex
     t23: complex
     t34: complex
@@ -409,22 +414,8 @@ def build_X1_point(
         _check_det(m, f"x{i}")
         if abs(_tr(m) - t) > 1e-9:
             raise ValueError(f"x{i} trace {_tr(m)} is not t")
-    checks = (
-        (_tr(x4 @ x1), p1, "tr(x4 x1)"),
-        (_tr(x1 @ x2), p2, "tr(x1 x2)"),
-        (_tr(x2 @ x3), p3, "tr(x2 x3)"),
-        (_tr(x3 @ x4), p4, "tr(x3 x4)"),
-        (_tr(x2 @ x4), b_param, "tr(x2 x4)"),
-    )
-    for got, want, label in checks:
-        if abs(got - want) > 1e-9:
-            raise ValueError(f"{label} = {got}, wanted {want}")
-    if abs(_tr(_inv(x2) @ x4) - (t * t - b_param)) > 1e-9:
-        raise ValueError("tr(x2^-1 x4) != t^2 - b")
     data = TraceData(
         t=t,
-        s=s_traces,
-        b=b_param,
         t12=_tr(x1 @ x2),
         t23=_tr(x2 @ x3),
         t34=_tr(x3 @ x4),
@@ -436,6 +427,18 @@ def build_X1_point(
         t134=_tr(x1 @ x3 @ x4),
         t234=_tr(x2 @ x3 @ x4),
     )
+    checks = (
+        (data.t41, p1, "tr(x4 x1)"),
+        (data.t12, p2, "tr(x1 x2)"),
+        (data.t23, p3, "tr(x2 x3)"),
+        (data.t34, p4, "tr(x3 x4)"),
+        (data.t24, b_param, "tr(x2 x4)"),
+    )
+    for got, want, label in checks:
+        if abs(got - want) > 1e-9:
+            raise ValueError(f"{label} = {got}, wanted {want}")
+    if abs(_tr(_inv(x2) @ x4) - (t * t - b_param)) > 1e-9:
+        raise ValueError("tr(x2^-1 x4) != t^2 - b")
     return ReprPoint(xs, data, (branches[0], branches[1]))
 
 
@@ -451,43 +454,16 @@ class EpsilonBasics:
     eps_x: complex
 
 
-def _cyc(i: int) -> int:
-    return (i - 1) % 4 + 1
-
-
-def _pair_trace(p: ReprPoint, i: int, j: int) -> complex:
-    return _tr(p.x[_cyc(i) - 1] @ p.x[_cyc(j) - 1])
-
-
-def _triple_trace(p: ReprPoint, i: int, j: int, k: int) -> complex:
-    return _tr(p.x[_cyc(i) - 1] @ p.x[_cyc(j) - 1] @ p.x[_cyc(k) - 1])
-
-
-def _eps_l(p: ReprPoint, i: int) -> complex:
-    t = p.data.t
-    return t * (
-        _pair_trace(p, i, i + 1) + _pair_trace(p, i - 1, i) - t * t
-    ) - _triple_trace(p, i - 1, i, i + 1)
-
-
-def _eps_u(p: ReprPoint, i: int) -> complex:
-    t = p.data.t
-    return -t * _pair_trace(p, i - 1, i + 1) + _triple_trace(p, i - 1, i, i + 1)
-
-
-def epsilon_l_direct(p: ReprPoint, i: int) -> complex:
-    """Route independent of the trace formulas: -tr(x_{i-1}^-1 x_i x_{i+1}^-1)."""
-    a = p.x[_cyc(i - 1) - 1]
-    m = p.x[_cyc(i) - 1]
-    c = p.x[_cyc(i + 1) - 1]
-    return -_tr(_inv(a) @ m @ _inv(c))
-
-
-def epsilon_u_direct(p: ReprPoint, i: int) -> complex:
-    a = p.x[_cyc(i - 1) - 1]
-    m = p.x[_cyc(i) - 1]
-    c = p.x[_cyc(i + 1) - 1]
-    return -_tr(a @ _inv(m) @ c)
+def _hole_traces(d: TraceData) -> Tuple[Tuple[complex, complex, complex, complex], ...]:
+    """Per hole i: (tr x_{i-1}x_i, tr x_i x_{i+1}, tr x_{i-1}x_{i+1},
+    tr x_{i-1}x_i x_{i+1}), read off the stored traces by the symmetry and
+    cyclicity of the trace."""
+    return (
+        (d.t41, d.t12, d.t24, d.t124),
+        (d.t12, d.t23, d.t13, d.t123),
+        (d.t23, d.t34, d.t24, d.t234),
+        (d.t34, d.t41, d.t13, d.t134),
+    )
 
 
 def epsilon_basics(p: ReprPoint) -> EpsilonBasics:
@@ -496,11 +472,13 @@ def epsilon_basics(p: ReprPoint) -> EpsilonBasics:
     The curve through holes 2 and 4 evaluates to t24 - t^2; each band
     formula is a polynomial in the stored traces.
     """
+    t = p.data.t
+    table = _hole_traces(p.data)
     return EpsilonBasics(
-        eps_t=-p.data.t,
-        eps_l=tuple(_eps_l(p, i) for i in range(1, 5)),
-        eps_u=tuple(_eps_u(p, i) for i in range(1, 5)),
-        eps_x=p.data.t24 - p.data.t * p.data.t,
+        eps_t=-t,
+        eps_l=tuple(t * (right + left - t * t) - triple for left, right, _, triple in table),
+        eps_u=tuple(-t * wide + triple for _, _, wide, triple in table),
+        eps_x=p.data.t24 - t * t,
     )
 
 
@@ -520,13 +498,9 @@ def epsilon_torsion_elements(p: ReprPoint) -> EpsilonTorsion:
     = eps(l'_i) - eps(l_i) = eps(u_i) - eps(u'_i).
     """
     basics = epsilon_basics(p)
-    diff = [basics.eps_u[i - 1] - basics.eps_l[i - 1] for i in range(1, 5)]
-    e_family = tuple(
-        diff[(_cyc(i + 2)) - 1] * (-diff[i - 1]) for i in range(1, 5)
-    )
-    et_family = tuple(
-        diff[(_cyc(i + 2)) - 1] * diff[i - 1] for i in range(1, 5)
-    )
+    diff = [u - l for u, l in zip(basics.eps_u, basics.eps_l)]
+    e_family = tuple(diff[(k + 2) % 4] * (-diff[k]) for k in range(4))
+    et_family = tuple(diff[(k + 2) % 4] * diff[k] for k in range(4))
     return EpsilonTorsion(e_family[0], e_family, et_family, basics.eps_x)
 
 
@@ -544,10 +518,7 @@ def zero_locus_roots(t: complex, c1: complex, c2: complex) -> Tuple[complex, com
         - c2 * c2
         + 4
     )
-    roots = sorted(
-        map(complex, np.roots([a2, a1, a0])), key=lambda z: (z.real, z.imag)
-    )
-    return roots[0], roots[1]
+    return _quadratic_roots(a2, a1, a0)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +551,6 @@ class ScanReport:
     trace data.
     """
 
-    t: complex
-    s: Tuple[complex, complex, complex, complex]
     records: Tuple[ScanRecord, ...]
     quad_roots: Tuple[complex, ...]
     nonvanish_fraction: float
@@ -671,6 +640,4 @@ def nonvanishing_scan(
         )
         for label, hits in sibling_hits.items()
     )
-    return ScanReport(
-        t, s_traces, tuple(records), quad_roots, fraction, sibling_fractions
-    )
+    return ScanReport(tuple(records), quad_roots, fraction, sibling_fractions)

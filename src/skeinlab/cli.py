@@ -130,13 +130,6 @@ class VerificationReport:
     def failed(self) -> bool:
         return any(item.status == "FAIL" for item in self.items)
 
-    @property
-    def first_failure(self) -> Optional[SuiteItem]:
-        for item in self.items:
-            if item.status == "FAIL":
-                return item
-        return None
-
     def exit_code(self) -> int:
         return 1 if self.failed else 0
 

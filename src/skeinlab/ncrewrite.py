@@ -350,7 +350,6 @@ def matrix_cosine_closed(n: int) -> Matrix2[CPoly]:
 
 @dataclass
 class MatrixLemmaReport:
-    max_n: int
     ok: bool
     first_failure: Optional[int]
 
@@ -359,8 +358,8 @@ def verify_matrix_lemma(max_n: int) -> MatrixLemmaReport:
     """Check matrix_cosine(n) == matrix_cosine_closed(n) for n = 0..max_n."""
     for n in range(max_n + 1):
         if matrix_cosine(n) != matrix_cosine_closed(n):
-            return MatrixLemmaReport(max_n, False, n)
-    return MatrixLemmaReport(max_n, True, None)
+            return MatrixLemmaReport(False, n)
+    return MatrixLemmaReport(True, None)
 
 
 # -- commutation identity, two routes -------------------------------------------
@@ -368,9 +367,6 @@ def verify_matrix_lemma(max_n: int) -> MatrixLemmaReport:
 
 @dataclass
 class CommuteManyResult:
-    n: int
-    route: str
-    mutated: bool
     route_a_ok: Optional[bool]
     route_b_ok: Optional[bool]
     residual: Optional[str]
@@ -456,7 +452,7 @@ def verify_commute_many(
         if not b_ok and residual is None:
             word, coeff = res_b.leading()
             residual = f"route b: ({coeff.render()})*{res_b.spec.word_names(word)}"
-    return CommuteManyResult(n, route, mutate, a_ok, b_ok, residual)
+    return CommuteManyResult(a_ok, b_ok, residual)
 
 
 # -- derivation of the n-th element ---------------------------------------------

@@ -66,9 +66,6 @@ class Board:
         if not 0 <= self.n_holes <= MAX_HOLES:
             raise ValueError(f"hole count must be between 0 and {MAX_HOLES}")
 
-    def centers(self) -> List[Point]:
-        return [(Fraction(i), Fraction(0)) for i in range(1, self.n_holes + 1)]
-
 
 # ---------------------------------------------------------------------------
 # Multicurves

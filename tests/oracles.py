@@ -605,8 +605,8 @@ def fraction_find_crossings(
                 raise DiagramError(f"curve '{ids[pi]}' has a zero-length edge at {_fmt(a)}")
     for pi, segs in enumerate(segments):
         for a, b in segs:
-            for hole, center in enumerate(Board(n_holes).centers(), start=1):
-                if point_segment_dist2(center, a, b) <= radius * radius:
+            for hole in range(1, n_holes + 1):
+                if point_segment_dist2((Fraction(hole), Fraction(0)), a, b) <= radius * radius:
                     raise DiagramError(
                         f"curve '{ids[pi]}' meets hole {hole}: edge {_fmt(a)}-{_fmt(b)}"
                     )

@@ -8,15 +8,13 @@ import re
 import numpy as np
 import pytest
 
-from numeric_oracles import gamma_values
+from numeric_oracles import epsilon_l_direct, epsilon_u_direct, gamma_values
 from skeinlab.chvar import (
     bridge_representation,
     build_X1_point,
     conjugator,
     epsilon_basics,
-    epsilon_l_direct,
     epsilon_torsion_elements,
-    epsilon_u_direct,
     fricke_f,
     nonvanishing_scan,
     pair_with_traces,
@@ -208,6 +206,17 @@ def test_figure_eight_bridge_has_two_solutions():
         assert abs(comm - 2) > 1e-6
 
 
+def test_even_numerator_bridge_matches_its_odd_slope():
+    # 2/5 and 3/5 close to the same two-bridge knot, so their traces agree
+    t = 1.3
+    even = [_tr(u @ v) for u, v in bridge_representation(2, 5, t)]
+    odd = [_tr(u @ v) for u, v in bridge_representation(3, 5, t)]
+    assert len(even) == len(odd) == 2
+    for s in even:
+        assert min(abs(s - o) for o in odd) < 1e-9
+        assert min(abs(s - w) for w in (1.345 + 0.7556j, 1.345 - 0.7556j)) < 1e-4
+
+
 def test_bridge_representation_rejections():
     with pytest.raises(ValueError, match="b > 2"):
         bridge_representation(1, 2, 1.4)
@@ -258,15 +267,17 @@ def test_build_X1_point_validates_input_shape():
 
 
 def test_epsilon_band_formulas_match_direct_traces():
-    rng = random.Random(12)
     t = 2 * math.cos(0.7)
-    point = build_X1_point(((1, 3),) * 4, t, _sample_b(rng, t), (1, 0))
-    basics = epsilon_basics(point)
-    for i in range(1, 5):
-        assert abs(basics.eps_l[i - 1] - epsilon_l_direct(point, i)) < 1e-9
-        assert abs(basics.eps_u[i - 1] - epsilon_u_direct(point, i)) < 1e-9
-    assert basics.eps_t == -t
-    assert abs(basics.eps_x - (point.data.t24 - t * t)) < 1e-12
+    b = _sample_b(random.Random(12), t)
+    for tangles in (((1, 3),) * 4, ((1, 3), (1, 5), (3, 7), 0.4 + 0.3j)):
+        for branches in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            point = build_X1_point(tangles, t, b, branches)
+            basics = epsilon_basics(point)
+            for i in range(1, 5):
+                assert abs(basics.eps_l[i - 1] - epsilon_l_direct(point, i)) < 1e-9
+                assert abs(basics.eps_u[i - 1] - epsilon_u_direct(point, i)) < 1e-9
+            assert basics.eps_t == -t
+            assert abs(basics.eps_x - (point.data.t24 - t * t)) < 1e-12
 
 
 def test_epsilon_invariant_under_conjugation():

@@ -205,6 +205,12 @@ def test_chvar_scan_cli_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_chvar_scan_accepts_even_numerator_tangles(capsys):
+    argv = ["chvar", "scan", "--tangles", "2/5,2/5,2/5,2/5", "--t-samples", "1", "--b-samples", "32"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip().endswith("result: PASS")
+
+
 def test_chvar_scan_rejects_small_grid(capsys):
     argv = ["chvar", "scan", "--t-samples", "1", "--b-samples", "8"]
     assert main(argv) == 2
