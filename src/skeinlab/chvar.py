@@ -24,6 +24,8 @@ __all__ = [
     "TraceData",
     "bridge_representation",
     "build_X1_point",
+    "build_X1_points",
+    "check_slope",
     "conjugator",
     "epsilon_basics",
     "epsilon_torsion_elements",
@@ -150,13 +152,23 @@ def third_with_traces(
     Unit determinant of the result is equivalent to t123 satisfying the
     fricke_f constraint; a failure beyond 1e-6 is reported as such.
     """
+    return _solve_third(_trace_system(a1, a2), t, t13, t23, t123)
+
+
+def _trace_system(a1: Mat, a2: Mat) -> Tuple[Tuple[Mat, ...], Mat]:
+    """The basis (I, a1, a2, a1 a2) and its matrix of pairwise traces."""
     basis = (np.eye(2, dtype=complex), a1, a2, a1 @ a2)
     system = np.array(
         [[_tr(p @ b) for b in basis] for p in basis], dtype=complex
     )
-    rhs = np.array([t, t13, t23, t123], dtype=complex)
     if abs(np.linalg.det(system)) < 1e-6:
         raise ValueError("singular trace system (reducible input pair)")
+    return basis, system
+
+
+def _solve_third(trace_system, t, t13, t23, t123) -> Mat:
+    basis, system = trace_system
+    rhs = np.array([t, t13, t23, t123], dtype=complex)
     coeffs = np.linalg.solve(system, rhs)
     a3 = sum(c * b for c, b in zip(coeffs, basis))
     det = _det(a3)
@@ -248,6 +260,14 @@ def _pm_adjugate(a):
     return [[a[1][1], neg(a[0][1])], [neg(a[1][0]), a[0][0]]]
 
 
+def check_slope(a: int, b: int) -> None:
+    """Reject a two-bridge slope a/b unless b > 2 and a/b is in lowest terms."""
+    if b <= 2:
+        raise ValueError("b > 2 required")
+    if math.gcd(abs(a), b) != 1:
+        raise ValueError("a/b must be in lowest terms")
+
+
 def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
     """All irreducible two-generator representations of the two-bridge
     link of slope a/b sending both bridge meridians to trace-t elements.
@@ -259,10 +279,7 @@ def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
     relator into polynomial conditions in s, solved by companion-matrix
     root-finding.
     """
-    if b <= 2:
-        raise ValueError("b > 2 required")
-    if math.gcd(abs(a), b) != 1:
-        raise ValueError("a/b must be in lowest terms")
+    check_slope(a, b)
     if a % 2 == 0:
         a -= b
     t = complex(t)
@@ -363,6 +380,9 @@ class ReprPoint:
     branches: Tuple[int, int]
 
 
+_BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def _resolve_tangle(spec: Tangle, t: complex) -> complex:
     if isinstance(spec, tuple):
         a, b = spec
@@ -384,9 +404,25 @@ def build_X1_point(
     pair (a, b), in which case s_i comes from the first two-bridge
     representation at this t.
     """
+    (point,) = build_X1_points(tangles, t, b_param, (branches,))
+    if isinstance(point, ValueError):
+        raise point
+    return point
+
+
+def build_X1_points(
+    tangles: Sequence[Tangle],
+    t: complex,
+    b_param: complex,
+    branches: Sequence[Tuple[int, int]] = _BRANCHES,
+) -> List[Union[ReprPoint, ValueError]]:
+    """build_X1_point for each of `branches`, in order: its ReprPoint, or
+    the ValueError that branch raises.  The branches share x2, x4, the t123
+    roots and both trace systems; each root is solved, and each trace that
+    depends on one branch bit taken, once.  A shared failure is raised."""
     if len(tangles) != 4:
         raise ValueError("exactly four tangles required")
-    if branches[0] not in (0, 1) or branches[1] not in (0, 1):
+    if any(b0 not in (0, 1) or b1 not in (0, 1) for b0, b1 in branches):
         raise ValueError("branches must be two bits")
     t = complex(t)
     b_param = complex(b_param)
@@ -406,40 +442,72 @@ def build_X1_point(
         if abs(lo - hi) < 1e-9:
             raise ValueError("non-generic b_param: vanishing discriminant")
     # x1: tr(x4 x1) = p1, tr(x2 x1) = p2 (the pair here is (x4, x2))
-    x1 = third_with_traces(x4, x2, t, p1, p2, r124[branches[0]])
+    x1s = _thirds((x4, x2), t, p1, p2, r124, {b0 for b0, _ in branches})
     # x3: tr(x2 x3) = p3, tr(x4 x3) = p4
-    x3 = third_with_traces(x2, x4, t, p3, p4, r234[branches[1]])
-    xs = (x1, x2, x3, x4)
-    for i, m in enumerate(xs, start=1):
-        _check_det(m, f"x{i}")
-        if abs(_tr(m) - t) > 1e-9:
-            raise ValueError(f"x{i} trace {_tr(m)} is not t")
-    data = TraceData(
-        t=t,
-        t12=_tr(x1 @ x2),
-        t23=_tr(x2 @ x3),
-        t34=_tr(x3 @ x4),
-        t41=_tr(x4 @ x1),
-        t24=_tr(x2 @ x4),
-        t13=_tr(x1 @ x3),
-        t123=_tr(x1 @ x2 @ x3),
-        t124=_tr(x1 @ x2 @ x4),
-        t134=_tr(x1 @ x3 @ x4),
-        t234=_tr(x2 @ x3 @ x4),
-    )
-    checks = (
-        (data.t41, p1, "tr(x4 x1)"),
-        (data.t12, p2, "tr(x1 x2)"),
-        (data.t23, p3, "tr(x2 x3)"),
-        (data.t34, p4, "tr(x3 x4)"),
-        (data.t24, b_param, "tr(x2 x4)"),
-    )
-    for got, want, label in checks:
-        if abs(got - want) > 1e-9:
-            raise ValueError(f"{label} = {got}, wanted {want}")
-    if abs(_tr(_inv(x2) @ x4) - (t * t - b_param)) > 1e-9:
-        raise ValueError("tr(x2^-1 x4) != t^2 - b")
-    return ReprPoint(xs, data, (branches[0], branches[1]))
+    x3s = _thirds((x2, x4), t, p3, p4, r234, {b1 for _, b1 in branches})
+    # Per bit, the checks and traces of x1 (ones) and x3 (threes), each product
+    # as in a branch built alone; pair_with_traces checked det x2 and det x4.
+    ones, threes = {}, {}
+    for bit, x1 in x1s.items():
+        if not isinstance(x1, ValueError):
+            x12 = x1 @ x2
+            ones[bit] = (x12, _det(x1), _tr(x1), _tr(x4 @ x1), _tr(x12), _tr(x12 @ x4))
+    for bit, x3 in x3s.items():
+        if not isinstance(x3, ValueError):
+            x23 = x2 @ x3
+            threes[bit] = (_det(x3), _tr(x3), _tr(x23), _tr(x3 @ x4), _tr(x23 @ x4))
+    tr2, tr4, t24, t_inv = _tr(x2), _tr(x4), _tr(x2 @ x4), _tr(_inv(x2) @ x4)
+    out: List[Union[ReprPoint, ValueError]] = []
+    for b0, b1 in branches:
+        x1, x3 = x1s[b0], x3s[b1]
+        if isinstance(x1, ValueError) or isinstance(x3, ValueError):
+            out.append(x1 if isinstance(x1, ValueError) else x3)
+            continue
+        x12, det1, tr1, t41, t12, t124 = ones[b0]
+        det3, tr3, t23, t34, t234 = threes[b1]
+        # in a lone branch's order, so each branch reports the failure it would alone
+        checks = (
+            (det1, 1, "x1: determinant {} is not 1"),
+            (tr1, t, "x1 trace {} is not t"),
+            (tr2, t, "x2 trace {} is not t"),
+            (det3, 1, "x3: determinant {} is not 1"),
+            (tr3, t, "x3 trace {} is not t"),
+            (tr4, t, "x4 trace {} is not t"),
+            (t41, p1, "tr(x4 x1) = {}, wanted {}"),
+            (t12, p2, "tr(x1 x2) = {}, wanted {}"),
+            (t23, p3, "tr(x2 x3) = {}, wanted {}"),
+            (t34, p4, "tr(x3 x4) = {}, wanted {}"),
+            (t24, b_param, "tr(x2 x4) = {}, wanted {}"),
+            (t_inv, t * t - b_param, "tr(x2^-1 x4) != t^2 - b"),
+        )
+        failed = [
+            text.format(got, want) for got, want, text in checks if abs(got - want) > 1e-9
+        ]
+        if failed:
+            out.append(ValueError(failed[0]))
+            continue
+        x13 = x1 @ x3
+        data = TraceData(
+            t, t12, t23, t34, t41, t24, _tr(x13), _tr(x12 @ x3), t124, _tr(x13 @ x4), t234
+        )
+        out.append(ReprPoint((x1, x2, x3, x4), data, (b0, b1)))
+    return out
+
+
+def _thirds(pair, t, t13, t23, roots, bits):
+    """{bit: third_with_traces(*pair, t, t13, t23, roots[bit]), or the
+    ValueError it raises}, over one trace system."""
+    try:
+        trace_system = _trace_system(*pair)
+    except ValueError as exc:
+        return dict.fromkeys(bits, exc)
+    out = {}
+    for bit in bits:
+        try:
+            out[bit] = _solve_third(trace_system, t, t13, t23, roots[bit])
+        except ValueError as exc:
+            out[bit] = exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +593,6 @@ def zero_locus_roots(t: complex, c1: complex, c2: complex) -> Tuple[complex, com
 # Scanning
 
 
-_BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
 _FAMILY_LABELS = tuple(
     f"{kind}{i}" for kind in ("e", "etilde") for i in range(1, 5)
 )
@@ -596,10 +663,12 @@ def nonvanishing_scan(
         built = 0
         eps_e_first: complex = complex("nan")
         eps_e_min = math.inf
-        for branch_idx, branch in enumerate(_BRANCHES):
-            try:
-                point = build_X1_point(s_traces, t, b_val, branch)
-            except ValueError:
+        try:
+            points = build_X1_points(s_traces, t, b_val)
+        except ValueError:
+            points = []
+        for branch_idx, point in enumerate(points):
+            if isinstance(point, ValueError):
                 continue
             if not quad_roots:
                 d = point.data

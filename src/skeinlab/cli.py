@@ -547,6 +547,8 @@ def _cmd_skein(args: argparse.Namespace) -> int:
 
 
 def _parse_tangles(text: str) -> Tuple[Union[complex, Tuple[int, int]], ...]:
+    from . import chvar
+
     out: List[Union[complex, Tuple[int, int]]] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -555,9 +557,11 @@ def _parse_tangles(text: str) -> Tuple[Union[complex, Tuple[int, int]], ...]:
         if "/" in chunk:
             num, _, den = chunk.partition("/")
             try:
-                out.append((int(num), int(den)))
-            except ValueError:
-                raise ConfigError(f"bad tangle fraction {chunk!r}") from None
+                slope = (int(num), int(den))
+                chvar.check_slope(*slope)
+            except ValueError as exc:
+                raise ConfigError(f"bad tangle fraction {chunk!r}: {exc}") from None
+            out.append(slope)
         else:
             try:
                 out.append(complex(chunk))

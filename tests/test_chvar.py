@@ -8,10 +8,17 @@ import re
 import numpy as np
 import pytest
 
-from numeric_oracles import epsilon_l_direct, epsilon_u_direct, gamma_values
+from numeric_oracles import (
+    build_X1_point_direct,
+    epsilon_l_direct,
+    epsilon_u_direct,
+    gamma_values,
+)
+from skeinlab import chvar
 from skeinlab.chvar import (
     bridge_representation,
     build_X1_point,
+    build_X1_points,
     conjugator,
     epsilon_basics,
     epsilon_torsion_elements,
@@ -264,6 +271,90 @@ def test_build_X1_point_validates_input_shape():
         build_X1_point((0.9, 0.9), 1.4, 0.5)
     with pytest.raises(ValueError, match="two bits"):
         build_X1_point((0.9,) * 4, 1.4, 0.5, (0, 2))
+
+
+_BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _same_branch(got, want):
+    if isinstance(want, str):
+        return isinstance(got, ValueError) and str(got) == want
+    return (
+        got.branches == want.branches
+        and all(np.array_equal(a, c) for a, c in zip(got.x, want.x))
+        and vars(got.data) == vars(want.data)
+    )
+
+
+def test_build_X1_points_match_the_direct_route():
+    # Each branch must equal the one built alone, bit for bit, and fail
+    # where it fails with the same message.  Zero-locus roots of the
+    # symmetric family lie on the reducible locus (a failure every branch
+    # shares); points just off them give singular trace systems, which
+    # each branch reports.  The two fixed points, found by a search near
+    # b = 2 and near the roots, fail branch by branch: det x1 or det x3
+    # lands just past 1e-9, and the message a branch gives depends on the
+    # order of the checks.
+    rng = random.Random(2024)
+    symmetric, mixed = ((1, 3),) * 4, ((1, 3), (1, 5), (3, 7), 0.4 + 0.3j)
+    cases = [
+        (symmetric, 0.2414730009256283, [2.0008207646996548 - 8.73920869340959e-05j]),
+        (mixed, 0.3821264692148067, [-1.8542804004369988 - 0.0004127848050582158j]),
+    ]
+    for tangles in (symmetric, mixed):
+        for _ in range(4):
+            t = 2 * math.cos(rng.uniform(0.3, math.pi - 0.3))
+            d = build_X1_point_direct(tangles, t, _sample_b(rng, t), (0, 0)).data
+            roots = zero_locus_roots(t, d.t12, d.t41) + zero_locus_roots(t, d.t23, d.t34)
+            cases.append((tangles, t, [_sample_b(rng, t), *roots, *(r + 1e-6 for r in roots)]))
+    shared = per_branch = built = 0
+    for tangles, t, b_values in cases:
+        for b in b_values:
+            want = []
+            for branch in _BRANCHES:
+                try:
+                    want.append(build_X1_point_direct(tangles, t, b, branch))
+                except ValueError as exc:
+                    want.append(str(exc))
+            try:
+                got = build_X1_points(tangles, t, b)
+            except ValueError as exc:
+                assert want == [str(exc)] * 4
+                shared += 1
+                continue
+            assert len(got) == 4
+            for k, branch in enumerate(_BRANCHES):
+                assert _same_branch(got[k], want[k])
+                assert _same_branch(build_X1_points(tangles, t, b, (branch,))[0], want[k])
+                if isinstance(want[k], str):
+                    per_branch += 1
+                else:
+                    built += 1
+    assert shared and per_branch and built
+
+
+def test_scan_shares_work_between_branches(monkeypatch):
+    counts = {"solve": 0, "det": 0, "points": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
+    monkeypatch.setattr(chvar, "build_X1_points", counting("points", chvar.build_X1_points))
+    rng = random.Random(314)
+    t = 2 * math.cos(0.8)
+    grid = [_sample_b(rng, t) for _ in range(32)]
+    nonvanishing_scan(((1, 3),) * 4, t, grid)
+    # one call per b: two trace systems, and one solve per root of each
+    assert counts["points"] == 32
+    assert counts["solve"] <= 4 * 32 and counts["det"] <= 2 * 32
+    counts.update(solve=0, det=0)
+    build_X1_point(((1, 3),) * 4, t, grid[0], (1, 0))
+    assert counts["solve"] <= 2 and counts["det"] <= 2
 
 
 def test_epsilon_band_formulas_match_direct_traces():

@@ -240,6 +240,18 @@ def test_chvar_scan_rejects_bad_tangles(capsys):
     assert "4 tangles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "slope,needle",
+    [("2/4", "lowest terms"), ("1/2", "b > 2"), ("1/0", "b > 2"), ("1/-3", "b > 2")],
+)
+def test_chvar_scan_rejects_bad_slopes_before_output(capsys, slope, needle):
+    argv = ["chvar", "scan", "--tangles", f"{slope},1/3,1/3,1/3", "--t-samples", "1", "--b-samples", "32"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert slope in captured.err and needle in captured.err
+
+
 def _write_config(tmp_path, fixture_dir):
     config = tmp_path / "verify.cfg"
     config.write_text(
