@@ -9,11 +9,14 @@ constructions are open conditions, so fixed tolerances suffice.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import zip_longest
 from typing import List, Sequence, Tuple, Union
 
-import numpy as np
+from .ring import Matrix2, m2_mul
 
 __all__ = [
     "EpsilonBasics",
@@ -23,41 +26,42 @@ __all__ = [
     "ScanReport",
     "TraceData",
     "bridge_representation",
-    "build_X1_point",
     "build_X1_points",
     "check_slope",
-    "conjugator",
     "epsilon_basics",
     "epsilon_torsion_elements",
     "fricke_f",
     "nonvanishing_scan",
     "pair_with_traces",
     "solve_t123",
-    "third_with_traces",
     "zero_locus_roots",
 ]
 
-Mat = np.ndarray
+Mat = Matrix2[complex]
 Tangle = Union[complex, float, int, Tuple[int, int]]
 
 _DEGENERATE_TOL = 1e-8
+# one tolerance for the determinants and traces of a built four-tuple
 _DET_TOL = 1e-9
 
 
 def _mat(a, b, c, d) -> Mat:
-    return np.array([[a, b], [c, d]], dtype=complex)
+    return ((complex(a), complex(b)), (complex(c), complex(d)))
 
-def _tr(m: Mat) -> complex:
-    return complex(m[0, 0] + m[1, 1])
+
+def _tr(*factors: Mat) -> complex:
+    """The trace of the product of `factors`, taken left to right."""
+    m = reduce(m2_mul, factors)
+    return m[0][0] + m[1][1]
 
 
 def _det(m: Mat) -> complex:
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def _inv(m: Mat) -> Mat:
+def _inv(m):
     # adjugate; valid because every constructed element has det 1
-    return _mat(m[1, 1], -m[0, 1], -m[1, 0], m[0, 0])
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
 
 
 def _check_det(m: Mat, label: str) -> Mat:
@@ -84,7 +88,7 @@ def fricke_f(r1: complex, r2: complex, r3: complex, r: complex, t: complex) -> c
 def _eigen_pair(t: complex) -> Tuple[complex, complex]:
     """(lam, s): the eigenvalue of trace t with |lam| >= 1, and the square
     root s of t^2 - 4 signed so that lam = (t + s)/2."""
-    s = np.sqrt(complex(t * t - 4))
+    s = cmath.sqrt(t * t - 4)
     lam = (t + s) / 2
     if abs(lam) < 1:
         lam, s = (t - s) / 2, -s
@@ -115,12 +119,9 @@ def pair_with_traces(t: complex, t12: complex) -> Tuple[Mat, Mat]:
 def _quadratic_roots(a, b, c) -> Tuple[complex, complex]:
     """Both roots of a*r^2 + b*r + c, sorted by (real, imag); a double
     root is returned twice."""
-    disc = np.sqrt(complex(b * b - 4 * a * c))
-    roots = sorted(
-        ((-b - disc) / (2 * a), (-b + disc) / (2 * a)),
-        key=lambda z: (z.real, z.imag),
-    )
-    return complex(roots[0]), complex(roots[1])
+    disc = cmath.sqrt(b * b - 4 * a * c)
+    roots = ((-b - disc) / (2 * a), (-b + disc) / (2 * a))
+    return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
 
 
 def solve_t123(t12: complex, t13: complex, t23: complex, t: complex) -> Tuple[complex, complex]:
@@ -138,126 +139,78 @@ def solve_t123(t12: complex, t13: complex, t23: complex, t: complex) -> Tuple[co
     return _quadratic_roots(1, bb, cc)
 
 
-def third_with_traces(
-    a1: Mat,
-    a2: Mat,
-    t: complex,
-    t13: complex,
-    t23: complex,
-    t123: complex,
-) -> Mat:
-    """The matrix a3 = alpha*I + beta*a1 + gamma*a2 + delta*a1a2 meeting
-    tr(a3) = t, tr(a1 a3) = t13, tr(a2 a3) = t23, tr(a1 a2 a3) = t123.
-
-    Unit determinant of the result is equivalent to t123 satisfying the
-    fricke_f constraint; a failure beyond 1e-6 is reported as such.
-    """
-    return _solve_third(_trace_system(a1, a2), t, t13, t23, t123)
-
-
-def _trace_system(a1: Mat, a2: Mat) -> Tuple[Tuple[Mat, ...], Mat]:
-    """The basis (I, a1, a2, a1 a2) and its matrix of pairwise traces."""
-    basis = (np.eye(2, dtype=complex), a1, a2, a1 @ a2)
-    system = np.array(
-        [[_tr(p @ b) for b in basis] for p in basis], dtype=complex
-    )
-    if abs(np.linalg.det(system)) < 1e-6:
-        raise ValueError("singular trace system (reducible input pair)")
-    return basis, system
-
-
-def _solve_third(trace_system, t, t13, t23, t123) -> Mat:
-    basis, system = trace_system
-    rhs = np.array([t, t13, t23, t123], dtype=complex)
-    coeffs = np.linalg.solve(system, rhs)
-    a3 = sum(c * b for c, b in zip(coeffs, basis))
-    det = _det(a3)
-    if abs(det - 1) > 1e-6:
-        raise ValueError(
-            f"determinant {det} is not 1: t123 violates the trace relation"
-        )
-    return a3
-
-
-def _commutator_trace(u: Mat, v: Mat) -> complex:
-    return _tr(u @ v @ _inv(u) @ _inv(v))
-
-
-def conjugator(u: Mat, v: Mat, x: Mat, y: Mat) -> Mat:
-    """Unit-determinant c with c u c^-1 = x and c v c^-1 = y.
-
-    Exists and is unique up to sign for irreducible pairs whose trace
-    triples (tr u, tr v, tr uv) and (tr x, tr y, tr xy) agree.
-    """
-    for got, want, label in (
-        (_tr(u), _tr(x), "tr(first)"),
-        (_tr(v), _tr(y), "tr(second)"),
-        (_tr(u @ v), _tr(x @ y), "tr(product)"),
-    ):
-        if abs(got - want) > 1e-8:
-            raise ValueError(f"{label} mismatch: {got} vs {want}")
-    if abs(_commutator_trace(u, v) - 2) < 1e-8:
-        raise ValueError("reducible pair: conjugator not unique")
-    # c u - x c = 0 and c v - y c = 0: linear in the 4 entries of c.
-    rows = []
-    for m, w in ((u, x), (v, y)):
-        # entry (i,j) of c m - w c
-        for i in range(2):
-            for j in range(2):
-                row = np.zeros(4, dtype=complex)
-                for k in range(2):
-                    row[2 * i + k] += m[k, j]
-                    row[2 * k + j] -= w[i, k]
-                rows.append(row)
-    system = np.array(rows)
-    _, sing, vh = np.linalg.svd(system)
-    if sing[-2] < 1e-8:
-        raise ValueError("conjugation system has a degenerate kernel")
-    # right singular vectors are the conjugated rows of vh
-    c = vh[-1].conj().reshape(2, 2)
-    det = _det(c)
-    if abs(det) < 1e-12:
-        raise ValueError("conjugator degenerates to a singular matrix")
-    c = c / np.sqrt(det)
-    residual = max(
-        float(np.max(np.abs(c @ u @ _inv(c) - x))),
-        float(np.max(np.abs(c @ v @ _inv(c) - y))),
-    )
-    if residual > 1e-7:
-        raise ValueError(f"conjugation residual {residual} too large")
-    return _check_det(c, "conjugator")
+def _solve(system, columns):
+    """Gaussian elimination with partial pivoting: (x for each column c
+    with system x = c, the product of the pivots, which is det system up
+    to sign).  A zero pivot stops it with det 0 and no solutions."""
+    n = len(system)
+    rows = [[*row, *(c[i] for c in columns)] for i, row in enumerate(system)]
+    det = 1
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        det *= rows[k][k]
+        if not det:
+            return [], det
+        for row in rows[k + 1:]:
+            m = row[k] / rows[k][k]
+            for j in range(k + 1, len(row)):
+                row[j] -= m * rows[k][j]
+    for k in reversed(range(n)):
+        row = rows[k]
+        for j in range(n, len(row)):
+            row[j] = (row[j] - sum(row[i] * rows[i][j] for i in range(k + 1, n))) / row[k]
+    return [[row[n + c] for row in rows] for c in range(len(columns))], det
 
 
 # ---------------------------------------------------------------------------
 # Two-bridge representations
 
 
-def _poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.convolve(p, q)
+class _Poly(tuple):
+    """Complex polynomial in s, its coefficients from the constant term up:
+    enough of a ring for m2_mul and _inv to build polynomial matrices."""
+
+    def __add__(self, other):
+        return _Poly(x + y for x, y in zip_longest(self, other, fillvalue=0))
+
+    def __neg__(self):
+        return _Poly(-x for x in self)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = [0j] * (len(self) + len(other) - 1)
+        for i, x in enumerate(self):
+            for j, y in enumerate(other):
+                out[i + j] += x * y
+        return _Poly(out)
+
+    def __call__(self, z: complex) -> complex:
+        value = 0j
+        for c in reversed(self):
+            value = value * z + c
+        return value
 
 
-def _poly_add(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = max(len(p), len(q))
-    out = np.zeros(n, dtype=complex)
-    out[: len(p)] += p
-    out[: len(q)] += q
-    return out
-
-
-def _pm_mul(a, b):
-    return [
-        [
-            _poly_add(_poly_mul(a[i][0], b[0][j]), _poly_mul(a[i][1], b[1][j]))
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
-
-
-def _pm_adjugate(a):
-    # inverse of a unit-determinant matrix with polynomial entries
-    neg = lambda p: -p
-    return [[a[1][1], neg(a[0][1])], [neg(a[1][0]), a[0][0]]]
+def _roots(coeffs: Sequence[complex]) -> List[complex]:
+    """All roots, with multiplicity, of a polynomial of degree >= 1 given
+    constant term first: Aberth-Ehrlich iteration from a circle that holds
+    every root, then a Newton polish (Bini, Numer. Algorithms 13, 1996)."""
+    p = _Poly(c / coeffs[-1] for c in coeffs)
+    dp = _Poly(k * c for k, c in enumerate(p) if k)
+    n = len(p) - 1
+    radius = 2 * max(abs(c) ** (1 / (n - k)) for k, c in enumerate(p[:-1])) or 1.0
+    zs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(200):
+        old = list(zs)
+        for k, z in enumerate(zs):
+            if p(z):
+                zs[k] = z - 1 / (dp(z) / p(z) - sum(1 / (z - w) for w in zs[:k] + zs[k + 1:]))
+        if all(abs(z - w) <= 1e-15 * abs(w) for z, w in zip(zs, old)):
+            break
+    return [z - p(z) / dp(z) if dp(z) else z for z in zs]
 
 
 def check_slope(a: int, b: int) -> None:
@@ -268,6 +221,14 @@ def check_slope(a: int, b: int) -> None:
         raise ValueError("a/b must be in lowest terms")
 
 
+def _relator(a: int, b: int, u, v) -> list:
+    """The entries of W u - v W, for bridge_representation's word W."""
+    letters = ((u if i % 2 else v, i * a // b % 2) for i in range(1, b))
+    word = reduce(m2_mul, (_inv(g) if odd else g for g, odd in letters))
+    lhs, rhs = m2_mul(word, u), m2_mul(v, word)
+    return [x - y for row, other in zip(lhs, rhs) for x, y in zip(row, other)]
+
+
 def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
     """All irreducible two-generator representations of the two-bridge
     link of slope a/b sending both bridge meridians to trace-t elements.
@@ -276,8 +237,10 @@ def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
     u^{e_1} v^{e_2} u^{e_3} ... over b-1 letters with e_i = (-1)^floor(ia/b).
     That exponent rule needs an odd a, so an even a is replaced by a - b,
     which gives the same link.  Parametrizing v by s = tr(uv) turns the
-    relator into polynomial conditions in s, solved by companion-matrix
-    root-finding.
+    relator into polynomial conditions in s.  Their roots are taken by
+    real part rounded to 9 decimals, then imaginary part: conjugate roots
+    share a real part only up to rounding, so the first representation
+    would otherwise depend on it.
     """
     check_slope(a, b)
     if a % 2 == 0:
@@ -286,67 +249,40 @@ def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
     if abs(t - 2) < _DEGENERATE_TOL or abs(t + 2) < _DEGENERATE_TOL:
         raise ValueError("t = +-2 is degenerate")
     lam, s_root = _eigen_pair(t)
-    one = np.array([1], dtype=complex)
-    zero = np.array([0], dtype=complex)
-    g1 = [
-        [np.array([lam], dtype=complex), zero],
-        [zero, np.array([1 / lam], dtype=complex)],
-    ]
+    one, zero = _Poly([1]), _Poly([0])
     # v's diagonal is linear in s: upper-left (s - t/lam)/s_root
-    a_poly = np.array([-t / lam / s_root, 1 / s_root], dtype=complex)
-    d_poly = _poly_add(np.array([t], dtype=complex), -a_poly)
-    g2 = [
-        [a_poly, one],
-        [_poly_add(_poly_mul(a_poly, d_poly), -one), d_poly],
-    ]
-    word = [[one, zero], [zero, one]]
-    for i in range(1, b):
-        gen = g1 if i % 2 == 1 else g2
-        if (-1) ** math.floor(i * a / b) < 0:
-            gen = _pm_adjugate(gen)
-        word = _pm_mul(word, gen)
-    lhs = _pm_mul(word, g1)
-    rhs = _pm_mul(g2, word)
-    entries = [
-        _poly_add(lhs[i][j], -rhs[i][j]) for i in range(2) for j in range(2)
-    ]
+    a_poly = _Poly([-t / lam / s_root, 1 / s_root])
+    d_poly = _Poly([t]) - a_poly
+    u_poly = ((_Poly([lam]), zero), (zero, _Poly([1 / lam])))
+    v_poly = ((a_poly, one), (a_poly * d_poly - one, d_poly))
+    entries = _relator(a, b, u_poly, v_poly)
 
-    def trimmed(p: np.ndarray) -> np.ndarray:
-        scale = max(1.0, float(np.max(np.abs(p))))
-        k = len(p)
-        while k > 0 and abs(p[k - 1]) < 1e-12 * scale:
-            k -= 1
-        return p[:k]
+    def trimmed(p: tuple) -> tuple:
+        scale = 1e-12 * max(1.0, max(map(abs, p)))
+        while p and abs(p[-1]) < scale:
+            p = p[:-1]
+        return p
 
-    candidates = sorted((trimmed(p) for p in entries), key=len, reverse=True)
-    lead = candidates[0]
+    lead = max((trimmed(p) for p in entries), key=len)
     if len(lead) == 0:
         raise ValueError("relator vanished identically; degenerate input")
     if len(lead) == 1:
         raise ValueError("no irreducible solution: non-generic t, retry")
-    roots = np.roots(lead[::-1])
     accepted: List[complex] = []
-    for root in sorted(map(complex, roots), key=lambda z: (z.real, z.imag)):
+    out: List[Tuple[Mat, Mat]] = []
+    for root in sorted(_roots(lead), key=lambda z: (round(z.real, 9), z.imag)):
         if any(abs(root - seen) < 1e-6 for seen in accepted):
             continue
-        if max(abs(np.polyval(p[::-1], root)) for p in entries) > 1e-6:
+        if max(abs(p(root)) for p in entries) > 1e-6:
             continue
         accepted.append(root)
-    out: List[Tuple[Mat, Mat]] = []
-    for s_val in accepted:
         try:
-            u, v = pair_with_traces(t, s_val)
+            u, v = pair_with_traces(t, root)
         except ValueError:
             continue  # reducible locus
-        if abs(_commutator_trace(u, v) - 2) < 1e-6:
+        if abs(_tr(u, v, _inv(u), _inv(v)) - 2) < 1e-6:
             continue
-        word_num = np.eye(2, dtype=complex)
-        for i in range(1, b):
-            gen = u if i % 2 == 1 else v
-            if (-1) ** math.floor(i * a / b) < 0:
-                gen = _inv(gen)
-            word_num = word_num @ gen
-        if np.max(np.abs(word_num @ u - v @ word_num)) > 1e-6:
+        if max(map(abs, _relator(a, b, u, v))) > 1e-6:
             continue
         out.append((u, v))
     if not out:
@@ -387,27 +323,8 @@ def _resolve_tangle(spec: Tangle, t: complex) -> complex:
     if isinstance(spec, tuple):
         a, b = spec
         u, v = bridge_representation(a, b, t)[0]
-        return _tr(u @ v)
+        return _tr(u, v)
     return complex(spec)
-
-
-def build_X1_point(
-    tangles: Sequence[Tangle],
-    t: complex,
-    b_param: complex,
-    branches: Tuple[int, int] = (0, 0),
-) -> ReprPoint:
-    """Four trace-t matrices x1..x4 with tr(x_{i-1} x_i) = t^2 - s_i and
-    tr(x2 x4) = b_param; `branches` picks the quadratic root for x1 and x3.
-
-    Each tangle is given either as a prescribed trace s_i or as a slope
-    pair (a, b), in which case s_i comes from the first two-bridge
-    representation at this t.
-    """
-    (point,) = build_X1_points(tangles, t, b_param, (branches,))
-    if isinstance(point, ValueError):
-        raise point
-    return point
 
 
 def build_X1_points(
@@ -416,10 +333,14 @@ def build_X1_points(
     b_param: complex,
     branches: Sequence[Tuple[int, int]] = _BRANCHES,
 ) -> List[Union[ReprPoint, ValueError]]:
-    """build_X1_point for each of `branches`, in order: its ReprPoint, or
-    the ValueError that branch raises.  The branches share x2, x4, the t123
-    roots and both trace systems; each root is solved, and each trace that
-    depends on one branch bit taken, once.  A shared failure is raised."""
+    """Four trace-t matrices x1..x4 with tr(x_{i-1} x_i) = t^2 - s_i and
+    tr(x2 x4) = b_param for each of `branches` (bits picking the quadratic
+    root for x1 and x3), in order: its ReprPoint, or its ValueError.  A
+    tangle is a trace s_i or a slope pair (a, b), whose s_i comes from the
+    first two-bridge representation at this t.  The branches share x2, x4,
+    the t123 roots and both trace systems; each root is solved, and each
+    trace that depends on one branch bit taken, once.  A shared failure
+    is raised."""
     if len(tangles) != 4:
         raise ValueError("exactly four tangles required")
     if any(b0 not in (0, 1) or b1 not in (0, 1) for b0, b1 in branches):
@@ -450,13 +371,13 @@ def build_X1_points(
     ones, threes = {}, {}
     for bit, x1 in x1s.items():
         if not isinstance(x1, ValueError):
-            x12 = x1 @ x2
-            ones[bit] = (x12, _det(x1), _tr(x1), _tr(x4 @ x1), _tr(x12), _tr(x12 @ x4))
+            x12 = m2_mul(x1, x2)
+            ones[bit] = (x12, _det(x1), _tr(x1), _tr(x4, x1), _tr(x12), _tr(x12, x4))
     for bit, x3 in x3s.items():
         if not isinstance(x3, ValueError):
-            x23 = x2 @ x3
-            threes[bit] = (_det(x3), _tr(x3), _tr(x23), _tr(x3 @ x4), _tr(x23 @ x4))
-    tr2, tr4, t24, t_inv = _tr(x2), _tr(x4), _tr(x2 @ x4), _tr(_inv(x2) @ x4)
+            x23 = m2_mul(x2, x3)
+            threes[bit] = (_det(x3), _tr(x3), _tr(x23), _tr(x3, x4), _tr(x23, x4))
+    tr2, tr4, t24, t_inv = _tr(x2), _tr(x4), _tr(x2, x4), _tr(_inv(x2), x4)
     out: List[Union[ReprPoint, ValueError]] = []
     for b0, b1 in branches:
         x1, x3 = x1s[b0], x3s[b1]
@@ -481,33 +402,39 @@ def build_X1_points(
             (t_inv, t * t - b_param, "tr(x2^-1 x4) != t^2 - b"),
         )
         failed = [
-            text.format(got, want) for got, want, text in checks if abs(got - want) > 1e-9
+            text.format(got, want) for got, want, text in checks if abs(got - want) > _DET_TOL
         ]
         if failed:
             out.append(ValueError(failed[0]))
             continue
-        x13 = x1 @ x3
+        x13 = m2_mul(x1, x3)
         data = TraceData(
-            t, t12, t23, t34, t41, t24, _tr(x13), _tr(x12 @ x3), t124, _tr(x13 @ x4), t234
+            t, t12, t23, t34, t41, t24, _tr(x13), _tr(x12, x3), t124, _tr(x13, x4), t234
         )
         out.append(ReprPoint((x1, x2, x3, x4), data, (b0, b1)))
     return out
 
 
 def _thirds(pair, t, t13, t23, roots, bits):
-    """{bit: third_with_traces(*pair, t, t13, t23, roots[bit]), or the
-    ValueError it raises}, over one trace system."""
-    try:
-        trace_system = _trace_system(*pair)
-    except ValueError as exc:
-        return dict.fromkeys(bits, exc)
-    out = {}
-    for bit in bits:
-        try:
-            out[bit] = _solve_third(trace_system, t, t13, t23, roots[bit])
-        except ValueError as exc:
-            out[bit] = exc
-    return out
+    """{bit: a3 = alpha*I + beta*a1 + gamma*a2 + delta*a1a2} for the pair
+    (a1, a2), with tr(a3) = t, tr(a1 a3) = t13, tr(a2 a3) = t23 and
+    tr(a1 a2 a3) = roots[bit], from one solve of the basis' symmetric trace
+    system (a singular one is every bit's ValueError).  det a3 = 1 exactly
+    when roots[bit] satisfies fricke_f, which the caller checks."""
+    basis = (_mat(1, 0, 0, 1), *pair, m2_mul(*pair))
+    upper = {(i, j): _tr(basis[i], basis[j]) for i in range(4) for j in range(i, 4)}
+    system = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
+    bits = sorted(bits)
+    solutions, det = _solve(system, [(t, t13, t23, roots[bit]) for bit in bits])
+    if abs(det) < 1e-6:
+        return dict.fromkeys(bits, ValueError("singular trace system (reducible input pair)"))
+    return {
+        bit: tuple(
+            tuple(sum(c * m[i][j] for c, m in zip(coeffs, basis)) for j in (0, 1))
+            for i in (0, 1)
+        )
+        for bit, coeffs in zip(bits, solutions)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import os
 import random
@@ -347,23 +348,15 @@ def _sample_b(rng: random.Random, t: complex) -> complex:
 
 
 def _random_trace_t(rng: random.Random, t: complex):
-    import numpy as np
-
     lam = (t + cmath.sqrt(t * t - 4)) / 2
     while True:
-        g = np.array(
-            [
-                [rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(2)]
-                for _ in range(2)
-            ],
-            dtype=complex,
-        )
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        a, b, c, d = (rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(4))
+        det = a * d - b * c
         if abs(det) > 1e-3:
-            g = g / np.sqrt(det)
             break
-    inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=complex)
-    return g @ np.diag([lam, 1 / lam]).astype(complex) @ inv
+    root = cmath.sqrt(det)
+    a, b, c, d = a / root, b / root, c / root, d / root
+    return m2_mul(m2_mul(((a, b), (c, d)), ((lam, 0), (0, 1 / lam))), ((d, -b), (-c, a)))
 
 
 # Largest |f| a Fricke check passes with: f vanishes on the traces of any
@@ -374,9 +367,11 @@ _FRICKE_TOL = 1e-8
 def _fricke_max_residual(seed: int, trials: int) -> float:
     """Largest |f| over `trials` random triples, spread over 10 trace
     values; the first `trials % 10` of them get one triple more."""
-    import numpy as np
-
     from . import chvar
+
+    def tr(*factors) -> complex:
+        m = functools.reduce(m2_mul, factors)
+        return m[0][0] + m[1][1]
 
     rng = random.Random(f"{seed}:fricke")
     worst = 0.0
@@ -384,13 +379,7 @@ def _fricke_max_residual(seed: int, trials: int) -> float:
         t = _sample_t(rng)
         for _ in range(trials // 10 + (k < trials % 10)):
             a1, a2, a3 = (_random_trace_t(rng, t) for _ in range(3))
-            value = chvar.fricke_f(
-                complex(np.trace(a1 @ a2)),
-                complex(np.trace(a1 @ a3)),
-                complex(np.trace(a2 @ a3)),
-                complex(np.trace(a1 @ a2 @ a3)),
-                t,
-            )
+            value = chvar.fricke_f(tr(a1, a2), tr(a1, a3), tr(a2, a3), tr(a1, a2, a3), t)
             worst = max(worst, abs(value))
     return worst
 

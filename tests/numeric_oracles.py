@@ -5,12 +5,16 @@ the exact `cheby.cheb_sine` polynomials it is checked against.
 `epsilon_l_direct` and `epsilon_u_direct` multiply a point's matrices,
 apart from the trace table that `chvar.epsilon_basics` reads.
 `build_X1_point_direct` builds one branch of a four-tuple from scratch,
-apart from the work `chvar.build_X1_points` shares between branches.
-They live apart from `oracles.py`, which the benchmark compiles inside
-its measured process.
+apart from the work `chvar.build_X1_points` shares between branches; given
+`third_numpy`, it solves each third matrix with numpy instead of
+`chvar`'s own elimination.  `build_X1_point` and `third_with_traces` are
+one-branch and one-matrix views of `chvar`'s routes.  Matrices are
+`ring.m2_mul` row pairs, like `chvar`'s.  They live apart from
+`oracles.py`, which the benchmark compiles inside its measured process.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -18,11 +22,14 @@ import numpy as np
 from skeinlab.chvar import (
     ReprPoint,
     TraceData,
+    _check_det,
+    _thirds,
     bridge_representation,
+    build_X1_points,
     pair_with_traces,
     solve_t123,
-    third_with_traces,
 )
+from skeinlab.ring import m2_mul
 
 
 def gamma_values(x: complex, n_max: int) -> List[complex]:
@@ -39,12 +46,21 @@ def gamma_values(x: complex, n_max: int) -> List[complex]:
 
 
 def _tr(m) -> complex:
-    return complex(m[0, 0] + m[1, 1])
+    return m[0][0] + m[1][1]
+
+
+def _det(m) -> complex:
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def _inv(m):
     # adjugate; the points' matrices have det 1
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
+
+
+def _prod(*factors):
+    return reduce(m2_mul, factors)
 
 
 def _around(p, i: int):
@@ -55,24 +71,62 @@ def _around(p, i: int):
 def epsilon_l_direct(p, i: int) -> complex:
     """eps(l_i) = -tr(x_{i-1}^-1 x_i x_{i+1}^-1)."""
     a, m, c = _around(p, i)
-    return -_tr(_inv(a) @ m @ _inv(c))
+    return -_tr(_prod(_inv(a), m, _inv(c)))
 
 
 def epsilon_u_direct(p, i: int) -> complex:
     """eps(u_i) = -tr(x_{i-1} x_i^-1 x_{i+1})."""
     a, m, c = _around(p, i)
-    return -_tr(a @ _inv(m) @ c)
+    return -_tr(_prod(a, _inv(m), c))
 
 
-def _det(m) -> complex:
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def build_X1_point(
+    tangles: Sequence, t: complex, b_param: complex, branches: Tuple[int, int] = (0, 0)
+) -> ReprPoint:
+    """`chvar.build_X1_points` for one branch: its point, or its error raised."""
+    (point,) = build_X1_points(tangles, t, b_param, (branches,))
+    if isinstance(point, ValueError):
+        raise point
+    return point
+
+
+def third_with_traces(a1, a2, t, t13, t23, t123):
+    """a3 = alpha*I + beta*a1 + gamma*a2 + delta*a1a2 with tr(a3) = t,
+    tr(a1 a3) = t13, tr(a2 a3) = t23 and tr(a1 a2 a3) = t123, from the
+    pair's own trace system, with its determinant checked as
+    `chvar.build_X1_points` checks x1 and x3."""
+    return _check_det(_third_chvar(a1, a2, t, t13, t23, t123), "a3")
+
+
+def _third_chvar(a1, a2, t, t13, t23, t123):
+    a3 = _thirds((a1, a2), t, t13, t23, (t123,), (0,))[0]
+    if isinstance(a3, ValueError):
+        raise a3
+    return a3
+
+
+def third_numpy(a1, a2, t, t13, t23, t123):
+    """The same a3 from all 16 pairwise traces and `np.linalg.solve`."""
+    basis = [np.eye(2, dtype=complex), np.array(a1), np.array(a2)]
+    basis.append(basis[1] @ basis[2])
+    system = np.array([[np.trace(p @ q) for q in basis] for p in basis])
+    if abs(np.linalg.det(system)) < 1e-6:
+        raise ValueError("singular trace system (reducible input pair)")
+    coeffs = np.linalg.solve(system, np.array([t, t13, t23, t123], dtype=complex))
+    a3 = sum(c * b for c, b in zip(coeffs, basis))
+    return tuple(tuple(complex(x) for x in row) for row in a3)
 
 
 def build_X1_point_direct(
-    tangles: Sequence, t: complex, b_param: complex, branches: Tuple[int, int]
+    tangles: Sequence,
+    t: complex,
+    b_param: complex,
+    branches: Tuple[int, int],
+    third=_third_chvar,
 ) -> ReprPoint:
-    """One branch of `chvar.build_X1_point`, every step taken for this
-    branch alone, in the same order and with the same checks and messages."""
+    """One branch of `chvar.build_X1_points`, every step taken for this
+    branch alone, in the same order and with the same checks and messages.
+    `third(a1, a2, t, t13, t23, t123)` builds x1 and x3."""
     if len(tangles) != 4:
         raise ValueError("exactly four tangles required")
     if branches[0] not in (0, 1) or branches[1] not in (0, 1):
@@ -80,7 +134,7 @@ def build_X1_point_direct(
     t = complex(t)
     b_param = complex(b_param)
     s_traces = tuple(
-        _tr(np.matmul(*bridge_representation(*spec, t)[0]))
+        _tr(m2_mul(*bridge_representation(*spec, t)[0]))
         if isinstance(spec, tuple)
         else complex(spec)
         for spec in tangles
@@ -95,8 +149,8 @@ def build_X1_point_direct(
     for lo, hi in (r124, r234):
         if abs(lo - hi) < 1e-9:
             raise ValueError("non-generic b_param: vanishing discriminant")
-    x1 = third_with_traces(x4, x2, t, p1, p2, r124[branches[0]])
-    x3 = third_with_traces(x2, x4, t, p3, p4, r234[branches[1]])
+    x1 = third(x4, x2, t, p1, p2, r124[branches[0]])
+    x3 = third(x2, x4, t, p3, p4, r234[branches[1]])
     xs = (x1, x2, x3, x4)
     for i, m in enumerate(xs, start=1):
         if abs(_det(m) - 1) > 1e-9:
@@ -105,16 +159,16 @@ def build_X1_point_direct(
             raise ValueError(f"x{i} trace {_tr(m)} is not t")
     data = TraceData(
         t=t,
-        t12=_tr(x1 @ x2),
-        t23=_tr(x2 @ x3),
-        t34=_tr(x3 @ x4),
-        t41=_tr(x4 @ x1),
-        t24=_tr(x2 @ x4),
-        t13=_tr(x1 @ x3),
-        t123=_tr(x1 @ x2 @ x3),
-        t124=_tr(x1 @ x2 @ x4),
-        t134=_tr(x1 @ x3 @ x4),
-        t234=_tr(x2 @ x3 @ x4),
+        t12=_tr(_prod(x1, x2)),
+        t23=_tr(_prod(x2, x3)),
+        t34=_tr(_prod(x3, x4)),
+        t41=_tr(_prod(x4, x1)),
+        t24=_tr(_prod(x2, x4)),
+        t13=_tr(_prod(x1, x3)),
+        t123=_tr(_prod(x1, x2, x3)),
+        t124=_tr(_prod(x1, x2, x4)),
+        t134=_tr(_prod(x1, x3, x4)),
+        t234=_tr(_prod(x2, x3, x4)),
     )
     checks = (
         (data.t41, p1, "tr(x4 x1)"),
@@ -126,6 +180,6 @@ def build_X1_point_direct(
     for got, want, label in checks:
         if abs(got - want) > 1e-9:
             raise ValueError(f"{label} = {got}, wanted {want}")
-    if abs(_tr(_inv(x2) @ x4) - (t * t - b_param)) > 1e-9:
+    if abs(_tr(_prod(_inv(x2), x4)) - (t * t - b_param)) > 1e-9:
         raise ValueError("tr(x2^-1 x4) != t^2 - b")
     return ReprPoint(xs, data, (branches[0], branches[1]))

