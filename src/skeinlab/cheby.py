@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .ring import CPoly, Laurent, q_power_diff
+from .ring import Q_PLUS_QINV, CPoly, Laurent, q_power_diff
 
 VARS_X = ("x",)
 VARS_XR = ("x", "r")
@@ -24,9 +24,7 @@ VARS_XR = ("x", "r")
 _X = CPoly.variable("x", VARS_X)
 
 # x^2 - (q + 1/q)^2, the exact divisor used by the closed summation form.
-_X2_MINUS_LOOP2 = _X * _X - CPoly.constant(
-    Laurent({4: 1, 0: 2, -4: 1}), VARS_X
-)
+_X2_MINUS_LOOP2 = _X * _X - CPoly.constant(Q_PLUS_QINV**2, VARS_X)
 
 _sine_cache: List[CPoly] = [CPoly.zero(VARS_X), CPoly.one(VARS_X)]
 _cosine_cache: List[CPoly] = [CPoly.constant(2, VARS_X), _X]

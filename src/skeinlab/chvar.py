@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import zip_longest
 from typing import List, Sequence, Tuple, Union
 
-from .ring import Matrix2, m2_mul
+from .ring import Matrix2, m2_adj, m2_det, m2_mul, m2_trace
 
 __all__ = [
     "EpsilonBasics",
@@ -49,24 +49,9 @@ def _mat(a, b, c, d) -> Mat:
     return ((complex(a), complex(b)), (complex(c), complex(d)))
 
 
-def _tr(*factors: Mat) -> complex:
-    """The trace of the product of `factors`, taken left to right."""
-    m = reduce(m2_mul, factors)
-    return m[0][0] + m[1][1]
-
-
-def _det(m: Mat) -> complex:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _inv(m):
-    # adjugate; valid because every constructed element has det 1
-    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-
-
 def _check_det(m: Mat, label: str) -> Mat:
-    if abs(_det(m) - 1) > _DET_TOL:
-        raise ValueError(f"{label}: determinant {_det(m)} is not 1")
+    if abs(m2_det(m) - 1) > _DET_TOL:
+        raise ValueError(f"{label}: determinant {m2_det(m)} is not 1")
     return m
 
 
@@ -169,7 +154,7 @@ def _solve(system, columns):
 
 class _Poly(tuple):
     """Complex polynomial in s, its coefficients from the constant term up:
-    enough of a ring for m2_mul and _inv to build polynomial matrices."""
+    enough of a ring for m2_mul and m2_adj to build polynomial matrices."""
 
     def __add__(self, other):
         return _Poly(x + y for x, y in zip_longest(self, other, fillvalue=0))
@@ -224,7 +209,7 @@ def check_slope(a: int, b: int) -> None:
 def _relator(a: int, b: int, u, v) -> list:
     """The entries of W u - v W, for bridge_representation's word W."""
     letters = ((u if i % 2 else v, i * a // b % 2) for i in range(1, b))
-    word = reduce(m2_mul, (_inv(g) if odd else g for g, odd in letters))
+    word = reduce(m2_mul, (m2_adj(g) if odd else g for g, odd in letters))
     lhs, rhs = m2_mul(word, u), m2_mul(v, word)
     return [x - y for row, other in zip(lhs, rhs) for x, y in zip(row, other)]
 
@@ -280,7 +265,7 @@ def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
             u, v = pair_with_traces(t, root)
         except ValueError:
             continue  # reducible locus
-        if abs(_tr(u, v, _inv(u), _inv(v)) - 2) < 1e-6:
+        if abs(m2_trace(u, v, m2_adj(u), m2_adj(v)) - 2) < 1e-6:
             continue
         if max(map(abs, _relator(a, b, u, v))) > 1e-6:
             continue
@@ -323,7 +308,7 @@ def _resolve_tangle(spec: Tangle, t: complex) -> complex:
     if isinstance(spec, tuple):
         a, b = spec
         u, v = bridge_representation(a, b, t)[0]
-        return _tr(u, v)
+        return m2_trace(u, v)
     return complex(spec)
 
 
@@ -331,20 +316,17 @@ def build_X1_points(
     tangles: Sequence[Tangle],
     t: complex,
     b_param: complex,
-    branches: Sequence[Tuple[int, int]] = _BRANCHES,
 ) -> List[Union[ReprPoint, ValueError]]:
     """Four trace-t matrices x1..x4 with tr(x_{i-1} x_i) = t^2 - s_i and
-    tr(x2 x4) = b_param for each of `branches` (bits picking the quadratic
-    root for x1 and x3), in order: its ReprPoint, or its ValueError.  A
-    tangle is a trace s_i or a slope pair (a, b), whose s_i comes from the
-    first two-bridge representation at this t.  The branches share x2, x4,
-    the t123 roots and both trace systems; each root is solved, and each
-    trace that depends on one branch bit taken, once.  A shared failure
-    is raised."""
+    tr(x2 x4) = b_param for each branch of `_BRANCHES` (bits picking the
+    quadratic root for x1 and x3), in order: its ReprPoint, or its
+    ValueError.  A tangle is a trace s_i or a slope pair (a, b), whose s_i
+    comes from the first two-bridge representation at this t.  The
+    branches share x2, x4, the t123 roots and both trace systems; each root
+    is solved, and each trace that depends on one branch bit taken, once.
+    A shared failure is raised."""
     if len(tangles) != 4:
         raise ValueError("exactly four tangles required")
-    if any(b0 not in (0, 1) or b1 not in (0, 1) for b0, b1 in branches):
-        raise ValueError("branches must be two bits")
     t = complex(t)
     b_param = complex(b_param)
     s_traces = tuple(_resolve_tangle(spec, t) for spec in tangles)
@@ -363,23 +345,28 @@ def build_X1_points(
         if abs(lo - hi) < 1e-9:
             raise ValueError("non-generic b_param: vanishing discriminant")
     # x1: tr(x4 x1) = p1, tr(x2 x1) = p2 (the pair here is (x4, x2))
-    x1s = _thirds((x4, x2), t, p1, p2, r124, {b0 for b0, _ in branches})
+    x1s = _thirds((x4, x2), t, p1, p2, r124)
     # x3: tr(x2 x3) = p3, tr(x4 x3) = p4
-    x3s = _thirds((x2, x4), t, p3, p4, r234, {b1 for _, b1 in branches})
+    x3s = _thirds((x2, x4), t, p3, p4, r234)
     # Per bit, the checks and traces of x1 (ones) and x3 (threes), each product
     # as in a branch built alone; pair_with_traces checked det x2 and det x4.
     ones, threes = {}, {}
-    for bit, x1 in x1s.items():
+    for bit, x1 in enumerate(x1s):
         if not isinstance(x1, ValueError):
             x12 = m2_mul(x1, x2)
-            ones[bit] = (x12, _det(x1), _tr(x1), _tr(x4, x1), _tr(x12), _tr(x12, x4))
-    for bit, x3 in x3s.items():
+            ones[bit] = (
+                x12, m2_det(x1), m2_trace(x1), m2_trace(x4, x1), m2_trace(x12), m2_trace(x12, x4)
+            )
+    for bit, x3 in enumerate(x3s):
         if not isinstance(x3, ValueError):
             x23 = m2_mul(x2, x3)
-            threes[bit] = (_det(x3), _tr(x3), _tr(x23), _tr(x3, x4), _tr(x23, x4))
-    tr2, tr4, t24, t_inv = _tr(x2), _tr(x4), _tr(x2, x4), _tr(_inv(x2), x4)
+            threes[bit] = (
+                m2_det(x3), m2_trace(x3), m2_trace(x23), m2_trace(x3, x4), m2_trace(x23, x4)
+            )
+    tr2, tr4 = m2_trace(x2), m2_trace(x4)
+    t24, t_inv = m2_trace(x2, x4), m2_trace(m2_adj(x2), x4)
     out: List[Union[ReprPoint, ValueError]] = []
-    for b0, b1 in branches:
+    for b0, b1 in _BRANCHES:
         x1, x3 = x1s[b0], x3s[b1]
         if isinstance(x1, ValueError) or isinstance(x3, ValueError):
             out.append(x1 if isinstance(x1, ValueError) else x3)
@@ -409,32 +396,32 @@ def build_X1_points(
             continue
         x13 = m2_mul(x1, x3)
         data = TraceData(
-            t, t12, t23, t34, t41, t24, _tr(x13), _tr(x12, x3), t124, _tr(x13, x4), t234
+            t, t12, t23, t34, t41, t24,
+            m2_trace(x13), m2_trace(x12, x3), t124, m2_trace(x13, x4), t234,
         )
         out.append(ReprPoint((x1, x2, x3, x4), data, (b0, b1)))
     return out
 
 
-def _thirds(pair, t, t13, t23, roots, bits):
-    """{bit: a3 = alpha*I + beta*a1 + gamma*a2 + delta*a1a2} for the pair
-    (a1, a2), with tr(a3) = t, tr(a1 a3) = t13, tr(a2 a3) = t23 and
-    tr(a1 a2 a3) = roots[bit], from one solve of the basis' symmetric trace
-    system (a singular one is every bit's ValueError).  det a3 = 1 exactly
-    when roots[bit] satisfies fricke_f, which the caller checks."""
+def _thirds(pair, t, t13, t23, roots):
+    """Per root r, a3 = alpha*I + beta*a1 + gamma*a2 + delta*a1a2 for the
+    pair (a1, a2), with tr(a3) = t, tr(a1 a3) = t13, tr(a2 a3) = t23 and
+    tr(a1 a2 a3) = r, from one solve of the basis' symmetric trace system
+    (a singular one is every root's ValueError).  det a3 = 1 exactly when
+    r satisfies fricke_f, which the caller checks."""
     basis = (_mat(1, 0, 0, 1), *pair, m2_mul(*pair))
-    upper = {(i, j): _tr(basis[i], basis[j]) for i in range(4) for j in range(i, 4)}
+    upper = {(i, j): m2_trace(basis[i], basis[j]) for i in range(4) for j in range(i, 4)}
     system = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
-    bits = sorted(bits)
-    solutions, det = _solve(system, [(t, t13, t23, roots[bit]) for bit in bits])
+    solutions, det = _solve(system, [(t, t13, t23, r) for r in roots])
     if abs(det) < 1e-6:
-        return dict.fromkeys(bits, ValueError("singular trace system (reducible input pair)"))
-    return {
-        bit: tuple(
+        return [ValueError("singular trace system (reducible input pair)")] * len(roots)
+    return [
+        tuple(
             tuple(sum(c * m[i][j] for c, m in zip(coeffs, basis)) for j in (0, 1))
             for i in (0, 1)
         )
-        for bit, coeffs in zip(bits, solutions)
-    }
+        for coeffs in solutions
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import functools
 import math
 import os
 import random
@@ -35,7 +34,7 @@ from .fixtures import (
     shipped_diagram,
     verify_fixture_dir,
 )
-from .ring import m2_mul
+from .ring import m2_adj, m2_det, m2_mul, m2_trace
 from .skein import (
     DEFAULT_STATE_CAP,
     Board,
@@ -351,12 +350,12 @@ def _random_trace_t(rng: random.Random, t: complex):
     lam = (t + cmath.sqrt(t * t - 4)) / 2
     while True:
         a, b, c, d = (rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(4))
-        det = a * d - b * c
+        det = m2_det(((a, b), (c, d)))
         if abs(det) > 1e-3:
             break
     root = cmath.sqrt(det)
-    a, b, c, d = a / root, b / root, c / root, d / root
-    return m2_mul(m2_mul(((a, b), (c, d)), ((lam, 0), (0, 1 / lam))), ((d, -b), (-c, a)))
+    m = ((a / root, b / root), (c / root, d / root))
+    return m2_mul(m2_mul(m, ((lam, 0), (0, 1 / lam))), m2_adj(m))
 
 
 # Largest |f| a Fricke check passes with: f vanishes on the traces of any
@@ -369,17 +368,14 @@ def _fricke_max_residual(seed: int, trials: int) -> float:
     values; the first `trials % 10` of them get one triple more."""
     from . import chvar
 
-    def tr(*factors) -> complex:
-        m = functools.reduce(m2_mul, factors)
-        return m[0][0] + m[1][1]
-
     rng = random.Random(f"{seed}:fricke")
     worst = 0.0
     for k in range(10):
         t = _sample_t(rng)
         for _ in range(trials // 10 + (k < trials % 10)):
             a1, a2, a3 = (_random_trace_t(rng, t) for _ in range(3))
-            value = chvar.fricke_f(tr(a1, a2), tr(a1, a3), tr(a2, a3), tr(a1, a2, a3), t)
+            traces = (m2_trace(a1, a2), m2_trace(a1, a3), m2_trace(a2, a3), m2_trace(a1, a2, a3))
+            value = chvar.fricke_f(*traces, t)
             worst = max(worst, abs(value))
     return worst
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ring import ONE, Laurent
+from .ring import ONE, Q_PLUS_QINV, Laurent
 from .skein import Diagram, DiagramError, parse_diagram, verify_skein_identity
 
 __all__ = [
@@ -72,8 +72,6 @@ class FixtureResult:
 _FACTOR_PATTERN = r"(?:\d+|(?:qbar|q|h|alpha)(?:\^-?\d+)?)"
 _TERM_RE = re.compile(rf"([+-]?)({_FACTOR_PATTERN}(?:\*{_FACTOR_PATTERN})*)")
 
-_ALPHA = Laurent({2: 1, -2: 1})
-
 
 class _AlphaPowerError(ValueError):
     """A term's power of alpha exceeds `MAX_ALPHA_POWER`."""
@@ -114,7 +112,7 @@ def _friendly_scalar(s: str) -> Laurent:
             alpha_power += k
         if alpha_power > MAX_ALPHA_POWER:
             raise _AlphaPowerError(f"alpha power {alpha_power} exceeds the limit {MAX_ALPHA_POWER}")
-        total = total + term * _ALPHA ** alpha_power
+        total = total + term * Q_PLUS_QINV**alpha_power
         pos = m.end()
         first = False
     if first:

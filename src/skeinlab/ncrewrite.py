@@ -36,6 +36,7 @@ from .cheby import (
 )
 from .ring import (
     ONE,
+    Combination,
     CPoly,
     Laurent,
     Matrix2,
@@ -160,10 +161,12 @@ class NcAlgebraSpec:
         return out
 
 
-class NcElement:
+class NcElement(Combination):
     """Laurent-linear combination of words in a fixed presentation."""
 
     __slots__ = ("spec", "terms")
+    _CONTEXT = "spec"
+    _MISMATCH = "elements belong to different presentations"
 
     def __init__(
         self, spec: NcAlgebraSpec, terms: Mapping[Word, Laurent] | None = None
@@ -179,49 +182,17 @@ class NcElement:
     def generator(cls, spec: NcAlgebraSpec, name: str) -> "NcElement":
         return cls(spec, {(spec.index(name),): Laurent.one()})
 
-    def _check(self, other: "NcElement") -> None:
-        if self.spec is not other.spec:
-            raise ValueError("elements belong to different presentations")
-
-    def __add__(self, other: "NcElement") -> "NcElement":
-        self._check(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            accumulate(out, word, coeff)
-        return NcElement(self.spec, out)
-
-    def __neg__(self) -> "NcElement":
-        return NcElement(self.spec, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NcElement") -> "NcElement":
-        return self + (-other)
-
     def __mul__(self, other: "NcElement | Laurent | int") -> "NcElement":
         if isinstance(other, (Laurent, int)):
-            scale = other if isinstance(other, Laurent) else Laurent.integer(other)
-            return NcElement(
-                self.spec, {w: c * scale for w, c in self.terms.items()}
-            )
+            return self.scale(other)
+        if not isinstance(other, NcElement):
+            return NotImplemented
         self._check(other)
         out: Dict[Word, Laurent] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 accumulate(out, w1 + w2, c1 * c2)
         return NcElement(self.spec, out)
-
-    def __rmul__(self, other: "Laurent | int") -> "NcElement":
-        return self * other
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NcElement):
-            return NotImplemented
-        return self.spec is other.spec and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((id(self.spec), frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def normalize(self) -> "NcElement":
         out: Dict[Word, Laurent] = {}
@@ -245,9 +216,6 @@ class NcElement:
             coeff = self.terms[word].render()
             parts.append(f"({coeff})*{self.spec.word_names(word)}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"NcElement({self.render()!r})"
 
 
 # -- concrete presentations ----------------------------------------------------

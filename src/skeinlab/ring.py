@@ -8,18 +8,23 @@ recursions, rewriting coefficients, diagram weights) works over this ring,
 so all arithmetic here is exact; floats appear only in `evaluate`.
 
 `CPoly` is a thin multivariate polynomial layer over the scalars with an
-exact division routine used to verify divisibility identities.  `m2_mul`
-is the one 2x2 matrix product, for entries from any of these rings.
+exact division routine used to verify divisibility identities; its
+module arithmetic is `Combination`'s, shared with the skein and
+rewriting layers.  `m2_mul`, `m2_trace`, `m2_det` and `m2_adj` are the
+one 2x2 matrix product, trace, determinant and adjugate, for entries
+from any of these rings.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 from typing import Dict, Hashable, Mapping, Tuple, TypeVar
 
 Monomial = Tuple[int, ...]
 _Key = TypeVar("_Key", bound=Hashable)
 _Entry = TypeVar("_Entry")
+_C = TypeVar("_C", bound="Combination")
 Matrix2 = Tuple[Tuple[_Entry, _Entry], Tuple[_Entry, _Entry]]
 
 
@@ -286,6 +291,76 @@ def accumulate(acc: Dict[_Key, Laurent], key: _Key, coeff: Laurent) -> None:
         acc.pop(key, None)
 
 
+class Combination:
+    """Laurent-linear combination in one context: `terms` maps basis keys
+    to nonzero `Laurent` coefficients.
+
+    The module arithmetic of `SkeinElement` (context: its board),
+    `NcElement` (its presentation) and `CPoly` (its variables).  A
+    subclass names the attribute holding its context in `_CONTEXT` and
+    its mismatch text in `_MISMATCH` (formatted with both contexts); it
+    keeps its own products.  `_wrap` builds a result in this context
+    from a zero-free term map, through the constructor unless overridden.
+    """
+
+    __slots__ = ()
+    _CONTEXT: str
+    _MISMATCH: str
+    terms: Dict[Hashable, Laurent]
+
+    def _context(self) -> Hashable:
+        return getattr(self, self._CONTEXT)
+
+    def _wrap(self: _C, terms: Dict[Hashable, Laurent]) -> _C:
+        return type(self)(self._context(), terms)
+
+    def _check(self, other: "Combination") -> None:
+        if self._context() != other._context():
+            raise ValueError(self._MISMATCH.format(self._context(), other._context()))
+
+    def __add__(self: _C, other: _C) -> _C:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            accumulate(out, key, coeff)
+        return self._wrap(out)
+
+    def __neg__(self: _C) -> _C:
+        return self._wrap({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self: _C, other: _C) -> _C:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self: _C, coeff: "Laurent | int") -> _C:
+        return self._wrap({k: c * coeff for k, c in self.terms.items()} if coeff else {})
+
+    def __rmul__(self: _C, other: "Laurent | int") -> _C:
+        if isinstance(other, (Laurent, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._context() == other._context() and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self._context(), frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()!r})"  # type: ignore[attr-defined]
+
+
 def m2_mul(a: "Matrix2[_Entry]", b: "Matrix2[_Entry]") -> "Matrix2[_Entry]":
     """Product of two 2x2 matrices, each a pair of rows, over any ring:
     ints, complex numbers, `Laurent` or `CPoly` entries."""
@@ -295,6 +370,23 @@ def m2_mul(a: "Matrix2[_Entry]", b: "Matrix2[_Entry]") -> "Matrix2[_Entry]":
         (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
         (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
     )
+
+
+def m2_trace(*factors: "Matrix2[_Entry]") -> _Entry:
+    """Trace of the product of `factors`, taken left to right."""
+    m = reduce(m2_mul, factors)
+    return m[0][0] + m[1][1]
+
+
+def m2_det(m: "Matrix2[_Entry]") -> _Entry:
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
+def m2_adj(m: "Matrix2[_Entry]") -> "Matrix2[_Entry]":
+    """Adjugate, the inverse of a determinant-1 matrix."""
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
 
 
 # Frequently used scalars.
@@ -319,7 +411,7 @@ def q_power_sum(k: int) -> Laurent:
     return Laurent({2 * k: 1, -2 * k: 1})
 
 
-class CPoly:
+class CPoly(Combination):
     """Commutative polynomial in named variables over the Laurent scalars.
 
     ``terms`` maps an exponent tuple (one slot per variable, nonnegative)
@@ -327,6 +419,8 @@ class CPoly:
     """
 
     __slots__ = ("vars", "terms")
+    _CONTEXT = "vars"
+    _MISMATCH = "variable mismatch: {} vs {}"
 
     def __init__(
         self,
@@ -378,37 +472,20 @@ class CPoly:
         out.terms = terms
         return out
 
-    def _check_vars(self, other: "CPoly") -> None:
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def __add__(self, other: "CPoly") -> "CPoly":
-        self._check_vars(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            accumulate(out, mono, coeff)
-        return CPoly._of(self.vars, out)
-
-    def __neg__(self) -> "CPoly":
-        return CPoly._of(self.vars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return self + (-other)
+    def _wrap(self, terms: Dict[Monomial, Laurent]) -> "CPoly":
+        return CPoly._of(self.vars, terms)
 
     def __mul__(self, other: "CPoly | Laurent | int") -> "CPoly":
         if isinstance(other, (Laurent, int)):
-            scale = _as_laurent(other)
-            terms = {m: c * scale for m, c in self.terms.items()} if scale else {}
-            return CPoly._of(self.vars, terms)
-        self._check_vars(other)
+            return self.scale(other)
+        if not isinstance(other, CPoly):
+            return NotImplemented
+        self._check(other)
         out: Dict[Monomial, Laurent] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return CPoly._of(self.vars, out)
-
-    def __rmul__(self, other: "Laurent | int") -> "CPoly":
-        return self * other
 
     def __pow__(self, n: int) -> "CPoly":
         if n < 0:
@@ -421,23 +498,6 @@ class CPoly:
             base = base * base
             n >>= 1
         return acc
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        return f"CPoly({self.render()!r})"
 
     # -- structure ---------------------------------------------------------
 
@@ -458,7 +518,7 @@ class CPoly:
         Cancels the graded-lex leading term of the remainder each step,
         which strictly decreases it in a well order, so the loop is finite.
         """
-        self._check_vars(divisor)
+        self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         d_mono, d_coeff = divisor.leading()

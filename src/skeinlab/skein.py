@@ -37,13 +37,13 @@ from .geom import (
     loop_winding,
     ray_events,
 )
-from .ring import Laurent, Matrix2, ONE, accumulate, m2_mul
+from .ring import Combination, Laurent, Matrix2, ONE, Q_PLUS_QINV, accumulate, m2_det, m2_trace
 
 Component = Tuple[int, ...]
 Multicurve = Tuple[Component, ...]
 
 # Value of a null-homotopic loop: -(q + q^{-1}).
-MINUS_ALPHA = Laurent({2: -1, -2: -1})
+MINUS_ALPHA = -Q_PLUS_QINV
 
 # Vertical clearance kept between curve profiles and the hole ordinate.
 _PIN = Fraction(5, 16)
@@ -105,10 +105,12 @@ def render_multicurve(m: Multicurve) -> str:
 # Skein elements
 
 
-class SkeinElement:
+class SkeinElement(Combination):
     """Finitely supported map from laminar multicurves to Laurent scalars."""
 
     __slots__ = ("board", "terms")
+    _CONTEXT = "board"
+    _MISMATCH = "elements live on different boards"
 
     def __init__(self, board: Board, terms: Dict[Multicurve, Laurent]):
         self.board = board
@@ -131,52 +133,12 @@ class SkeinElement:
     def basis(cls, board: Board, m: Iterable[Iterable[int]]) -> "SkeinElement":
         return cls(board, {canonical_multicurve(m, board): ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SkeinElement):
-            return NotImplemented
-        return self.board == other.board and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.board, frozenset(self.terms.items())))
-
-    def __add__(self, other: "SkeinElement") -> "SkeinElement":
-        if not isinstance(other, SkeinElement):
-            return NotImplemented
-        self._check_board(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            accumulate(out, m, c)
-        return SkeinElement(self.board, out)
-
-    def __sub__(self, other: "SkeinElement") -> "SkeinElement":
-        if not isinstance(other, SkeinElement):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "SkeinElement":
-        return self.scale(-1)
-
-    def scale(self, coeff: "Laurent | int") -> "SkeinElement":
-        return SkeinElement(self.board, {m: c * coeff for m, c in self.terms.items()})
-
     def __mul__(self, other: "SkeinElement | Laurent | int") -> "SkeinElement":
         if isinstance(other, (Laurent, int)):
             return self.scale(other)
         if isinstance(other, SkeinElement):
             return multiply(self, other)
         return NotImplemented
-
-    def __rmul__(self, other: "Laurent | int") -> "SkeinElement":
-        if isinstance(other, (Laurent, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def _check_board(self, other: "SkeinElement") -> None:
-        if self.board != other.board:
-            raise ValueError("elements live on different boards")
 
     def render(self) -> str:
         """One line per basis multicurve, canonical order."""
@@ -190,9 +152,6 @@ class SkeinElement:
                 text = f"({text})"
             lines.append(f"{text} * {render_multicurve(m)}")
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"SkeinElement({self.render()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +698,12 @@ def _canonical_bands(m: Iterable[Iterable[int]], board: Board) -> List[List[Poin
 
 def canonical_diagram(m: Iterable[Iterable[int]], board: Board) -> Diagram:
     """Crossingless diagram resolving to exactly 1 times the multicurve,
-    with the bands of `_canonical_bands`."""
-    polylines = _canonical_bands(m, board)
-    return Diagram(board, polylines, [], [f"k{i}" for i in range(len(polylines))])
+    with the bands of `_canonical_bands`.  They are disjoint by
+    construction, so no crossing search is run."""
+    polys = [tuple(p) for p in _canonical_bands(m, board)]
+    d = Diagram.__new__(Diagram)
+    d._build(board, polys, [f"k{i}" for i in range(len(polys))], [], [])
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +775,7 @@ def multiply(
     a: SkeinElement, b: SkeinElement, state_cap: int = DEFAULT_STATE_CAP
 ) -> SkeinElement:
     """Stacking product: diagrams of `a` on top of diagrams of `b`."""
-    if a.board != b.board:
-        raise ValueError("elements live on different boards")
+    a._check(b)
     out: Dict[Multicurve, Laurent] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -868,9 +829,6 @@ def _as_matrix(m: object) -> Matrix2[complex]:
     return (rows[0], rows[1])  # type: ignore[return-value]
 
 
-_M2_ID: Matrix2[complex] = ((1.0, 0.0), (0.0, 1.0))
-
-
 def epsilon_of_element(a: SkeinElement, rho: Sequence[object]) -> complex:
     """Classical trace evaluation of a skein element.
 
@@ -885,16 +843,13 @@ def epsilon_of_element(a: SkeinElement, rho: Sequence[object]) -> complex:
             f"need {a.board.n_holes} matrices, got {len(mats)}"
         )
     for i, m in enumerate(mats, start=1):
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        det = m2_det(m)
         if abs(det - 1) > 1e-9:
             raise ValueError(f"matrix for hole {i} has determinant {det}, not 1")
     value = 0j
     for m, coeff in a.terms.items():
         term = complex(coeff.specialize_classical())
         for comp in m:
-            prod = _M2_ID
-            for i in comp:
-                prod = m2_mul(prod, mats[i - 1])
-            term *= -(prod[0][0] + prod[1][1])
+            term *= -m2_trace(*(mats[i - 1] for i in comp))
         value += term
     return value

@@ -20,6 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from skeinlab.chvar import (
+    _BRANCHES,
     ReprPoint,
     TraceData,
     _check_det,
@@ -84,7 +85,9 @@ def build_X1_point(
     tangles: Sequence, t: complex, b_param: complex, branches: Tuple[int, int] = (0, 0)
 ) -> ReprPoint:
     """`chvar.build_X1_points` for one branch: its point, or its error raised."""
-    (point,) = build_X1_points(tangles, t, b_param, (branches,))
+    if branches not in _BRANCHES:
+        raise ValueError("branches must be two bits")
+    point = build_X1_points(tangles, t, b_param)[_BRANCHES.index(branches)]
     if isinstance(point, ValueError):
         raise point
     return point
@@ -99,7 +102,7 @@ def third_with_traces(a1, a2, t, t13, t23, t123):
 
 
 def _third_chvar(a1, a2, t, t13, t23, t123):
-    a3 = _thirds((a1, a2), t, t13, t23, (t123,), (0,))[0]
+    (a3,) = _thirds((a1, a2), t, t13, t23, (t123,))
     if isinstance(a3, ValueError):
         raise a3
     return a3

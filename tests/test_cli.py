@@ -86,6 +86,18 @@ def test_skein_resolve_and_multiply(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "+1 * {1|1}"
 
 
+def test_skein_multiply_rejects_different_boards(tmp_path, capsys):
+    paths = []
+    for n_holes in (1, 2):
+        path = tmp_path / f"loop{n_holes}.diagram"
+        path.write_text(render_diagram(canonical_diagram(((1,),), Board(n_holes))), encoding="utf-8")
+        paths.append(str(path))
+    assert main(["skein", "multiply", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "ValueError: elements live on different boards"
+
+
 def test_skein_resolve_input_errors(tmp_path, capsys):
     assert main(["skein", "resolve", str(tmp_path / "missing.diagram")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -176,9 +188,10 @@ def test_chvar_fricke_rejects_empty_trial_count(capsys):
     assert "--trials must be at least 1" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def test_cli_import_leaves_chvar_unloaded():
+    # the trace calculus loads only for the chvar commands and `verify all`
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, skeinlab.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, skeinlab.cli; print('skeinlab.chvar' in sys.modules)"],
         capture_output=True,
         text=True,
     )

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skeinlab.ncrewrite import NcElement, collar_algebra, exterior_algebra
 from skeinlab.ring import (
     CPoly,
     Laurent,
@@ -14,9 +15,14 @@ from skeinlab.ring import (
     Q_MINUS_QINV,
     Q_PLUS_QINV,
     accumulate,
+    m2_adj,
+    m2_det,
+    m2_mul,
+    m2_trace,
     q_power_diff,
     q_power_sum,
 )
+from skeinlab.skein import Board, SkeinElement
 
 
 def random_laurent(rng: random.Random, allow_zero: bool = True) -> Laurent:
@@ -283,3 +289,76 @@ def test_cpoly_ring_laws(f: CPoly, g: CPoly, h: CPoly, s: Laurent, k: int) -> No
     assert hash(f + g) == hash(g + f)
     assert hash(f * (g + h)) == hash(f * g + f * h)
     assert_cpoly_clean(f + g, f - g, -f, f * g, f * s, s * f, f * k, f - f)
+
+
+# -- the module arithmetic the three combination types share -----------------
+
+
+def _skein_elements():
+    board = Board(3)
+    x = SkeinElement.basis(board, [(1, 2), (3,)]).scale(Q) + SkeinElement.basis(board, [(1,)])
+    return x, SkeinElement.basis(Board(2), [(1,)]), "different boards"
+
+
+def _nc_elements():
+    spec = collar_algebra()
+    t1, x = NcElement.generator(spec, "t1"), NcElement.generator(spec, "x")
+    return x * t1 * Q_MINUS_QINV + t1, NcElement.generator(exterior_algebra(), "x"), (
+        "different presentations"
+    )
+
+
+def _cpolys():
+    x = CPoly.variable("x", ("x", "y"))
+    y = CPoly.variable("y", ("x", "y"))
+    return x * y * QINV - CPoly.constant(3, ("x", "y")), CPoly.one(("x",)), "variable mismatch"
+
+
+@pytest.mark.parametrize("make", [_skein_elements, _nc_elements, _cpolys])
+def test_combination_module_arithmetic(make) -> None:
+    x, stranger, mismatch = make()
+    assert len(x.terms) == 2 and x and not x.is_zero()
+    zero = x - x
+    assert zero.is_zero() and not zero and zero.terms == {}
+    assert x + zero == x and -(-x) == x
+    assert 2 * x == x + x == x.scale(2) == x * 2
+    assert x.scale(0).is_zero() and (Laurent.zero() * x).is_zero()
+    assert Q * x == x.scale(Q) and (Q * x).terms == {k: c * Q for k, c in x.terms.items()}
+    copy = (x + x) - x
+    assert copy is not x and copy == x and hash(copy) == hash(x)
+    assert x != x.scale(-1) and x != stranger
+    assert repr(x) == f"{type(x).__name__}({x.render()!r})"
+    for op in (lambda: x + stranger, lambda: x - stranger, lambda: stranger + x):
+        with pytest.raises(ValueError, match=mismatch):
+            op()
+    for other in (1, Laurent.one(), "x"):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            other + x
+    with pytest.raises(TypeError):
+        x * 1.5
+
+
+# -- 2x2 helpers ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (((2, 3), (5, 7)), ((1, -4), (0, 6))),
+        (
+            ((Q, Laurent.integer(1)), (QINV - 2, Laurent.h_power(3))),
+            ((Q_PLUS_QINV, Laurent.h_power(-1, 5)), (Laurent.integer(-2), Q_MINUS_QINV)),
+        ),
+    ],
+)
+def test_m2_helpers(a, b) -> None:
+    for m in (a, b):
+        d = m2_det(m)
+        assert m2_mul(m, m2_adj(m)) == m2_mul(m2_adj(m), m) == ((d, 0), (0, d))
+        assert m2_trace(m) == m[0][0] + m[1][1]
+        assert m2_adj(m2_adj(m)) == m
+    assert m2_trace(a, b) == m2_trace(b, a)
+    assert m2_trace(a, b, a) == m2_trace(m2_mul(a, b), a) == m2_trace(a, a, b)
+    assert m2_det(m2_mul(a, b)) == m2_det(a) * m2_det(b)

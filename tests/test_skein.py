@@ -615,12 +615,17 @@ def test_state_cap_enforced():
 # Canonical crossing-free diagrams
 
 
+def _searched_crossings(d):
+    """The crossing search that `canonical_diagram` skips, run on its bands."""
+    return find_crossings(d.board.n_holes, d.polylines, d.ids)
+
+
 def test_layered_diagram_roundtrip_exhaustive_small():
     for n in range(5):
         board = Board(n)
         for m in all_laminar_multisets(n, 4):
             d = canonical_diagram(m, board)
-            assert not d.crossings, m
+            assert not d.crossings and not _searched_crossings(d), m
             assert resolve(d) == SkeinElement.basis(board, m), m
 
 
@@ -628,8 +633,31 @@ def test_layered_diagram_roundtrip_exhaustive_five_holes():
     board = Board(5)
     for m in all_laminar_multisets(5, 4):
         d = canonical_diagram(m, board)
-        assert not d.crossings, m
+        assert not d.crossings and not _searched_crossings(d), m
         assert resolve(d) == SkeinElement.basis(board, m), m
+
+
+def _random_laminar(rng, n_holes, n_comps):
+    comps = []
+    while len(comps) < n_comps:
+        comp = tuple(sorted(rng.sample(range(1, n_holes + 1), rng.randint(1, n_holes))))
+        if is_laminar(comps + [comp]):
+            comps.append(comp)
+    return tuple(sorted(comps))
+
+
+@pytest.mark.parametrize("n_holes", [5, 6])
+def test_canonical_bands_of_many_components_do_not_cross(n_holes):
+    # beyond the exhaustive round trip's 4 components: stacking_diagram's
+    # laminar branch draws the union of two factors' components
+    rng = random.Random(f"bands-{n_holes}")
+    board = Board(n_holes)
+    for n_comps in range(5, 9):
+        for _ in range(100):
+            m = _random_laminar(rng, n_holes, n_comps)
+            d = canonical_diagram(m, board)
+            assert _searched_crossings(d) == [], m
+            assert len(d.polylines) == n_comps and not d.crossings
 
 
 def test_interleaved_components_stay_disjoint():
@@ -638,11 +666,11 @@ def test_interleaved_components_stay_disjoint():
     board = Board(4)
     m = ((1, 3), (2, 4))
     d = canonical_diagram(m, board)
-    assert not d.crossings
+    assert not d.crossings and not _searched_crossings(d)
     assert resolve(d) == SkeinElement.basis(board, m)
     deep = ((1, 3), (1, 3), (2, 4))
     d2 = canonical_diagram(deep, board)
-    assert not d2.crossings
+    assert not d2.crossings and not _searched_crossings(d2)
     assert resolve(d2) == SkeinElement.basis(board, deep)
 
 
