@@ -22,15 +22,16 @@ import math
 import os
 import random
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import cheby, ncrewrite
 from .fixtures import (
+    CheckResult,
     ManifestError,
     emit_fixture_templates,
+    run_check,
     shipped_diagram,
     verify_fixture_dir,
 )
@@ -51,8 +52,6 @@ from .skein import (
 
 __all__ = [
     "ConfigError",
-    "SuiteItem",
-    "VerificationReport",
     "main",
     "parse_config",
     "run_all",
@@ -72,6 +71,18 @@ _CONFIG_DEFAULTS: Dict[str, Union[int, str]] = {
     "state_cap": DEFAULT_STATE_CAP,
 }
 _INT_KEYS = ("max_n", "b_samples", "t_samples", "seed", "state_cap")
+
+# Grid points per scanned trace value.  A point costs about 0.3 ms and
+# 0.4 KB, so the maximum keeps one scan near 30 s and 40 MB.
+_MIN_B_SAMPLES = 32
+_MAX_B_SAMPLES = 100_000
+
+
+def _check_b_samples(value: int, name: str) -> None:
+    if value < _MIN_B_SAMPLES:
+        raise ConfigError(f"{name} must be at least {_MIN_B_SAMPLES}")
+    if value > _MAX_B_SAMPLES:
+        raise ConfigError(f"{name} must be at most {_MAX_B_SAMPLES}")
 
 
 def parse_config(text: str, source: str = "config") -> Dict[str, Union[int, str]]:
@@ -99,8 +110,7 @@ def parse_config(text: str, source: str = "config") -> Dict[str, Union[int, str]
             values[key] = value
     if int(values["max_n"]) < 1:
         raise ConfigError(f"{source}: max_n must be at least 1")
-    if int(values["b_samples"]) < 32:
-        raise ConfigError(f"{source}: b_samples must be at least 32")
+    _check_b_samples(int(values["b_samples"]), f"{source}: b_samples")
     if int(values["t_samples"]) < 1:
         raise ConfigError(f"{source}: t_samples must be at least 1")
     if int(values["state_cap"]) < 1:
@@ -108,59 +118,27 @@ def parse_config(text: str, source: str = "config") -> Dict[str, Union[int, str]
     return values
 
 
-# ---------------------------------------------------------------------------
-# Report types
+# A suite's checks: (name, check) pairs, each check returning (status, detail).
+_Checks = List[Tuple[str, Callable[[], Tuple[str, str]]]]
 
 
-@dataclass(frozen=True)
-class SuiteItem:
-    suite: str
-    name: str
-    status: str  # PASS, FAIL, or SKIPPED
-    detail: str
-    seconds: float
+def _verdict(failed: bool) -> int:
+    """Print the closing `result:` line and return the exit code."""
+    print(f"result: {'FAIL' if failed else 'PASS'}")
+    return 1 if failed else 0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    seed: int
-    items: Tuple[SuiteItem, ...]
-
-    @property
-    def failed(self) -> bool:
-        return any(item.status == "FAIL" for item in self.items)
-
-    def exit_code(self) -> int:
-        return 1 if self.failed else 0
-
-    def render(self, include_timings: bool = False) -> str:
-        # timings are excluded by default so reports are byte-identical
-        lines = [f"seed={self.seed}"]
-        for item in self.items:
-            line = f"{item.suite}.{item.name}: {item.status}"
-            if item.detail:
-                line += f" ({item.detail})"
-            if include_timings:
-                line += f" [{item.seconds:.6f}s]"
-            lines.append(line)
-        lines.append(f"result: {'FAIL' if self.failed else 'PASS'}")
-        return "\n".join(lines)
-
-
-def _timed(suite: str, name: str, check: Callable[[], Tuple[str, str]]) -> SuiteItem:
-    start = time.perf_counter()
-    try:
-        status, detail = check()
-    except Exception as exc:  # isolate the failing item
-        status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
-    return SuiteItem(suite, name, status, detail, time.perf_counter() - start)
+def _report(results: Sequence[CheckResult], include_timings: bool = False) -> int:
+    for result in results:
+        print(result.render(include_timings))
+    return _verdict(any(result.status == "FAIL" for result in results))
 
 
 # ---------------------------------------------------------------------------
 # Suites
 
 
-def _cheby_identity_checks(max_n: int) -> List[Tuple[str, Callable[[], Tuple[str, str]]]]:
+def _cheby_identity_checks(max_n: int) -> _Checks:
     def closed_form() -> Tuple[str, str]:
         for n in range(max_n + 1):
             if cheby.qdiff_sine_sum(n) != cheby.qdiff_sine_sum_closed(n):
@@ -186,11 +164,11 @@ def _cheby_identity_checks(max_n: int) -> List[Tuple[str, Callable[[], Tuple[str
     ]
 
 
-def _cheby_suite(max_n: int) -> List[SuiteItem]:
-    return [_timed("cheby", name, check) for name, check in _cheby_identity_checks(max_n)]
+def _suite(suite: str, checks: _Checks) -> List[CheckResult]:
+    return [run_check(f"{suite}.{name}", check) for name, check in checks]
 
 
-def _ncrewrite_suite(max_n: int) -> List[SuiteItem]:
+def _ncrewrite_checks(max_n: int) -> _Checks:
     def matrix_lemma() -> Tuple[str, str]:
         report = ncrewrite.verify_matrix_lemma(max_n)
         if report.ok:
@@ -217,13 +195,12 @@ def _ncrewrite_suite(max_n: int) -> List[SuiteItem]:
             return "FAIL", "mutated coefficient went unnoticed"
         return "PASS", "single-coefficient mutation caught"
 
-    checks = [
+    return [
         ("matrix_lemma", matrix_lemma),
         ("commute_many", commute_many),
         ("e_n_derivation", e_n_derivation),
         ("mutation_detected", mutation_detected),
     ]
-    return [_timed("ncrewrite", name, check) for name, check in checks]
 
 
 def _random_laminar(rng: random.Random, n_holes: int, max_comps: int) -> Tuple[Tuple[int, ...], ...]:
@@ -245,7 +222,7 @@ def _random_sl2_int(rng: random.Random) -> Tuple[Tuple[int, int], Tuple[int, int
     return m
 
 
-def _skein_suite(seed: int, state_cap: int, fixture_dir: str) -> List[SuiteItem]:
+def _skein_suite(seed: int, state_cap: int, fixture_dir: str) -> List[CheckResult]:
     def roundtrip() -> Tuple[str, str]:
         rng = random.Random(f"{seed}:skein-roundtrip")
         board = Board(3)
@@ -295,45 +272,28 @@ def _skein_suite(seed: int, state_cap: int, fixture_dir: str) -> List[SuiteItem]
                     return "FAIL", f"deviation {abs(lhs - rhs)} on {union}"
         return "PASS", "laminar-union pairs factor exactly"
 
+    fixtures: List[CheckResult] = []
+
+    def manifest() -> Tuple[str, str]:
+        if not (Path(fixture_dir) / "manifest.txt").is_file():
+            return "SKIPPED", f"{fixture_dir} has no manifest.txt"
+        try:
+            fixtures.extend(verify_fixture_dir(fixture_dir))
+        except ManifestError as exc:
+            return "FAIL", str(exc)
+        return "PASS", ""
+
     checks = [
         ("roundtrip", roundtrip),
         ("annulus", annulus),
         ("strand_slide", strand_slide),
         ("epsilon_factorization", epsilon_factorization),
+        ("fixtures", manifest),
     ]
-    items = [_timed("skein", name, check) for name, check in checks]
-
-    manifest = Path(fixture_dir) / "manifest.txt"
-    if manifest.is_file():
-        start = time.perf_counter()
-        try:
-            results = verify_fixture_dir(fixture_dir)
-        except ManifestError as exc:
-            items.append(
-                SuiteItem(
-                    "skein",
-                    "fixtures",
-                    "FAIL",
-                    str(exc),
-                    time.perf_counter() - start,
-                )
-            )
-        else:
-            items.extend(
-                SuiteItem("skein", f"fixture {r.name}", r.status, r.detail, r.seconds)
-                for r in results
-            )
-    else:
-        items.append(
-            SuiteItem(
-                "skein",
-                "fixtures",
-                "SKIPPED",
-                f"{fixture_dir} has no manifest.txt",
-                0.0,
-            )
-        )
-    return items
+    *items, loaded = _suite("skein", checks)
+    if loaded.status != "PASS":  # no fixtures to list: the manifest is the item
+        return items + [loaded]
+    return items + [replace(r, name=f"skein.fixture {r.name}") for r in fixtures]
 
 
 def _sample_t(rng: random.Random) -> float:
@@ -365,7 +325,8 @@ _FRICKE_TOL = 1e-8
 
 def _fricke_max_residual(seed: int, trials: int) -> float:
     """Largest |f| over `trials` random triples, spread over 10 trace
-    values; the first `trials % 10` of them get one triple more."""
+    values; the first `trials % 10` of them get one triple more.  NaN if
+    any |f| is NaN."""
     from . import chvar
 
     rng = random.Random(f"{seed}:fricke")
@@ -375,8 +336,9 @@ def _fricke_max_residual(seed: int, trials: int) -> float:
         for _ in range(trials // 10 + (k < trials % 10)):
             a1, a2, a3 = (_random_trace_t(rng, t) for _ in range(3))
             traces = (m2_trace(a1, a2), m2_trace(a1, a3), m2_trace(a2, a3), m2_trace(a1, a2, a3))
-            value = chvar.fricke_f(*traces, t)
-            worst = max(worst, abs(value))
+            residual = abs(chvar.fricke_f(*traces, t))
+            if residual > worst or math.isnan(residual):  # NaN stays the maximum
+                worst = residual
     return worst
 
 
@@ -415,7 +377,7 @@ def _scan_healthy(report) -> Tuple[bool, str]:
     return True, ""
 
 
-def _chvar_suite(seed: int, t_samples: int, b_samples: int) -> List[SuiteItem]:
+def _chvar_checks(seed: int, t_samples: int, b_samples: int) -> _Checks:
     def fricke() -> Tuple[str, str]:
         worst = _fricke_max_residual(seed, 200)
         if worst < _FRICKE_TOL:
@@ -434,21 +396,19 @@ def _chvar_suite(seed: int, t_samples: int, b_samples: int) -> List[SuiteItem]:
             f"min nonvanish fraction {worst_fraction:.3f}",
         )
 
-    checks = [("fricke_random", fricke), ("x1_scan", x1_scan)]
-    return [_timed("chvar", name, check) for name, check in checks]
+    return [("fricke_random", fricke), ("x1_scan", x1_scan)]
 
 
-def run_all(config: Dict[str, Union[int, str]]) -> VerificationReport:
-    """Run every suite in turn and assemble the report in suite order."""
+def run_all(config: Dict[str, Union[int, str]]) -> List[CheckResult]:
+    """Run every suite in turn and return its items in suite order."""
     seed = int(config["seed"])
     max_n = int(config["max_n"])
-    items = (
-        _cheby_suite(max_n)
-        + _ncrewrite_suite(max_n)
+    return (
+        _suite("cheby", _cheby_identity_checks(max_n))
+        + _suite("ncrewrite", _ncrewrite_checks(max_n))
         + _skein_suite(seed, int(config["state_cap"]), str(config["fixture_dir"]))
-        + _chvar_suite(seed, int(config["t_samples"]), int(config["b_samples"]))
+        + _suite("chvar", _chvar_checks(seed, int(config["t_samples"]), int(config["b_samples"])))
     )
-    return VerificationReport(seed, tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +428,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = parse_config(config_text, source=source)
     if args.seed is not None:
         config["seed"] = args.seed
-    report = run_all(config)
-    print(report.render(include_timings=args.timings))
-    return report.exit_code()
+    print(f"seed={config['seed']}")
+    return _report(run_all(config), args.timings)
 
 
 def _cmd_cheby(args: argparse.Namespace) -> int:
@@ -481,8 +440,7 @@ def _cmd_cheby(args: argparse.Namespace) -> int:
         status, detail = check()
         failed = failed or status == "FAIL"
         print(f"{name} n<={args.max_n}: {status}" + (f" ({detail})" if status == "FAIL" else ""))
-    print(f"result: {'FAIL' if failed else 'PASS'}")
-    return 1 if failed else 0
+    return _verdict(failed)
 
 
 def _cmd_ncverify(args: argparse.Namespace) -> int:
@@ -500,8 +458,7 @@ def _cmd_ncverify(args: argparse.Namespace) -> int:
     caught = not mutated.ok and mutated.residual is not None
     failed = failed or not caught
     print(f"mutation_detected={'PASS' if caught else 'FAIL'}")
-    print(f"result: {'FAIL' if failed else 'PASS'}")
-    return 1 if failed else 0
+    return _verdict(failed)
 
 
 def _read_diagram(path: str):
@@ -522,13 +479,7 @@ def _cmd_skein(args: argparse.Namespace) -> int:
         print(multiply(ea, eb, state_cap=args.state_cap).render())
         return 0
     # verify-fixture
-    results = verify_fixture_dir(args.dir)
-    failed = False
-    for result in results:
-        failed = failed or result.status == "FAIL"
-        print(result.render())
-    print(f"result: {'FAIL' if failed else 'PASS'}")
-    return 1 if failed else 0
+    return _report([replace(r, name=f"fixture {r.name}") for r in verify_fixture_dir(args.dir)])
 
 
 def _parse_tangles(text: str) -> Tuple[Union[complex, Tuple[int, int]], ...]:
@@ -549,9 +500,12 @@ def _parse_tangles(text: str) -> Tuple[Union[complex, Tuple[int, int]], ...]:
             out.append(slope)
         else:
             try:
-                out.append(complex(chunk))
+                trace = complex(chunk)
             except ValueError:
                 raise ConfigError(f"bad tangle trace {chunk!r}") from None
+            if not cmath.isfinite(trace):
+                raise ConfigError(f"bad tangle trace {chunk!r}: not finite")
+            out.append(trace)
     if len(out) != 4:
         raise ConfigError(f"need exactly 4 tangles, got {len(out)}")
     return tuple(out)
@@ -562,14 +516,11 @@ def _cmd_chvar(args: argparse.Namespace) -> int:
         if args.trials < 1:
             raise ConfigError("--trials must be at least 1")
         worst = _fricke_max_residual(args.seed, args.trials)
-        ok = worst < _FRICKE_TOL
         print(f"trials={args.trials} max_abs_f={worst:.3e}")
-        print(f"result: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
+        return _verdict(not worst < _FRICKE_TOL)
     # scan
     tangles = _parse_tangles(args.tangles)
-    if args.b_samples < 32:
-        raise ConfigError("--b-samples must be at least 32")
+    _check_b_samples(args.b_samples, "--b-samples")
     if args.t_samples < 1:
         raise ConfigError("--t-samples must be at least 1")
     print(
@@ -583,8 +534,7 @@ def _cmd_chvar(args: argparse.Namespace) -> int:
         if not healthy:
             failed = True
             print(f"# unhealthy: {why}")
-    print(f"result: {'FAIL' if failed else 'PASS'}")
-    return 1 if failed else 0
+    return _verdict(failed)
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ring import ONE, Q_PLUS_QINV, Laurent
 from .skein import Diagram, DiagramError, parse_diagram, verify_skein_identity
 
 __all__ = [
-    "FixtureResult",
+    "CheckResult",
     "FixtureSpec",
     "MAX_ALPHA_POWER",
     "ManifestError",
@@ -29,6 +29,7 @@ __all__ = [
     "emit_fixture_templates",
     "parse_manifest",
     "parse_scalar",
+    "run_check",
     "shipped_diagram",
     "verify_fixture_dir",
 ]
@@ -53,16 +54,32 @@ class FixtureSpec:
 
 
 @dataclass(frozen=True)
-class FixtureResult:
+class CheckResult:
+    """One check's verdict, as every report prints it."""
+
     name: str
     status: str  # PASS, FAIL, or SKIPPED
     detail: str = ""
     seconds: float = field(default=0.0, compare=False)  # wall time of this check
 
-    def render(self) -> str:
+    def render(self, include_timings: bool = False) -> str:
+        line = f"{self.name}: {self.status}"
         if self.detail:
-            return f"fixture {self.name}: {self.status} ({self.detail})"
-        return f"fixture {self.name}: {self.status}"
+            line += f" ({self.detail})"
+        if include_timings:
+            line += f" [{self.seconds:.6f}s]"
+        return line
+
+
+def run_check(name: str, check: Callable[[], Tuple[str, str]]) -> CheckResult:
+    """Time one `() -> (status, detail)` check; an exception it raises
+    fails this check alone."""
+    start = time.perf_counter()
+    try:
+        status, detail = check()
+    except Exception as exc:
+        status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
+    return CheckResult(name, status, detail, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -224,51 +241,46 @@ def _is_unfilled(text: str) -> bool:
     return False
 
 
-def _verify_one(root: Path, spec: FixtureSpec) -> FixtureResult:
+def _verify_one(root: Path, spec: FixtureSpec) -> Tuple[str, str]:
     sides: List[List[Tuple[Laurent, Diagram]]] = []
-    for _, side in (("lhs", spec.lhs), ("rhs", spec.rhs)):
+    for side in (spec.lhs, spec.rhs):
         built: List[Tuple[Laurent, Diagram]] = []
         for coeff, fname in side:
             path = root / fname
             if not path.is_file():
-                return FixtureResult(spec.name, "FAIL", f"missing file {fname}")
+                return "FAIL", f"missing file {fname}"
             text = path.read_text()
             if _is_unfilled(text):
-                return FixtureResult(spec.name, "SKIPPED", f"{fname} not transcribed")
+                return "SKIPPED", f"{fname} not transcribed"
             try:
                 d = parse_diagram(text)
             except DiagramError as exc:
-                return FixtureResult(spec.name, "FAIL", f"{fname}: {exc}")
+                return "FAIL", f"{fname}: {exc}"
             if d.board.n_holes != spec.n_holes:
-                return FixtureResult(
-                    spec.name,
+                return (
                     "FAIL",
                     f"{fname}: board has {d.board.n_holes} holes, "
                     f"manifest says {spec.n_holes}",
                 )
             built.append((coeff, d))
         sides.append(built)
-    try:
-        report = verify_skein_identity(sides[0], sides[1])
-    except Exception as exc:  # keep one bad fixture from sinking the rest
-        return FixtureResult(spec.name, "FAIL", f"{type(exc).__name__}: {exc}")
+    report = verify_skein_identity(sides[0], sides[1])
     if report.ok:
-        return FixtureResult(spec.name, "PASS")
-    return FixtureResult(spec.name, "FAIL", report.first_discrepancy or "")
+        return "PASS", ""
+    return "FAIL", report.first_discrepancy or ""
 
 
-def verify_fixture_dir(path: "str | Path") -> List[FixtureResult]:
-    """Verify every fixture declared in `path`/manifest.txt, in order."""
+def verify_fixture_dir(path: "str | Path") -> List[CheckResult]:
+    """Verify every fixture declared in `path`/manifest.txt, in order; a
+    fixture whose check raises fails alone."""
     root = Path(path)
     manifest = root / "manifest.txt"
     if not manifest.is_file():
         raise ManifestError(f"no manifest.txt in {root}")
-    results = []
-    for spec in parse_manifest(manifest.read_text()):
-        start = time.perf_counter()
-        result = _verify_one(root, spec)
-        results.append(replace(result, seconds=time.perf_counter() - start))
-    return results
+    return [
+        run_check(spec.name, lambda spec=spec: _verify_one(root, spec))
+        for spec in parse_manifest(manifest.read_text())
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from skeinlab import chvar
+from skeinlab import chvar, cli
 from skeinlab.cli import ConfigError, main, parse_config
 from skeinlab.skein import Board, canonical_diagram, render_diagram
 
@@ -34,6 +34,7 @@ def test_parse_config_defaults_and_overrides():
         ("max_n = x", "integer"),
         ("seed = 1\nalso bad", "line 2"),
         ("b_samples = 10", "at least 32"),
+        ("b_samples = 100001", "at most 100000"),
         ("max_n = 0", "at least 1"),
     ],
 )
@@ -183,6 +184,20 @@ def test_chvar_fricke_runs_requested_trials(trials, capsys, monkeypatch):
     assert len(calls) == trials
 
 
+def test_chvar_fricke_fails_on_nan_residual(tmp_path, capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN residual must not read as a pass
+    monkeypatch.setattr(chvar, "fricke_f", lambda *args: complex("nan"))
+    assert main(["chvar", "fricke", "--trials", "10"]) == 1
+    out = capsys.readouterr().out
+    assert "max_abs_f=nan" in out
+    assert out.strip().endswith("result: FAIL")
+    config = _write_config(tmp_path, tmp_path / "nowhere")
+    assert main(["verify", "all", "--config", str(config)]) == 1
+    out = capsys.readouterr().out
+    assert "chvar.fricke_random: FAIL (max |f| = nan)" in out
+    assert out.strip().endswith("result: FAIL")
+
+
 def test_chvar_fricke_rejects_empty_trial_count(capsys):
     assert main(["chvar", "fricke", "--trials", "0"]) == 2
     assert "--trials must be at least 1" in capsys.readouterr().err
@@ -244,6 +259,14 @@ def test_chvar_scan_rejects_small_grid(capsys):
     assert "at least 32" in capsys.readouterr().err
 
 
+def test_chvar_scan_rejects_huge_grid_before_output(capsys):
+    argv = ["chvar", "scan", "--t-samples", "1", "--b-samples", "100001"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--b-samples must be at most 100000" in captured.err
+
+
 def test_chvar_scan_rejects_empty_sample_count(capsys):
     assert main(["chvar", "scan", "--t-samples", "0"]) == 2
     captured = capsys.readouterr()
@@ -277,6 +300,15 @@ def test_chvar_scan_rejects_bad_slopes_before_output(capsys, slope, needle):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert slope in captured.err and needle in captured.err
+
+
+@pytest.mark.parametrize("trace", ["nan", "inf", "-infj", "1e400"])
+def test_chvar_scan_rejects_non_finite_traces_before_output(capsys, trace):
+    argv = ["chvar", "scan", "--tangles", f"1/3,1/3,1/3,{trace}", "--t-samples", "1", "--b-samples", "32"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad tangle trace {trace!r}: not finite" in captured.err
 
 
 def _write_config(tmp_path, fixture_dir):
@@ -354,6 +386,39 @@ def test_verify_all_flags_corrupt_fixture(tmp_path, capsys):
     assert "skein.fixture r2_hole1: FAIL" in out
     assert "skein.fixture x1t1: SKIPPED" in out
     assert out.strip().endswith("result: FAIL")
+
+
+def test_unreadable_fixture_file_fails_only_its_fixture(tmp_path, capsys):
+    fixtures = tmp_path / "fx"
+    assert main(["fixtures", "emit", "--dir", str(fixtures)]) == 0
+    capsys.readouterr()
+    (fixtures / "r2poked.diagram").write_bytes(b"\xff\xfe")
+    config = _write_config(tmp_path, fixtures)
+    assert main(["verify", "all", "--config", str(config)]) == 1
+    out = capsys.readouterr().out
+    assert "skein.fixture r2_hole1: FAIL (UnicodeDecodeError: " in out
+    assert "skein.fixture x1t1: SKIPPED" in out
+    assert out.strip().endswith("result: FAIL")
+    assert main(["skein", "verify-fixture", str(fixtures)]) == 1
+    out = capsys.readouterr().out
+    assert "fixture r2_hole1: FAIL (UnicodeDecodeError: " in out
+    assert "fixture x1t1: SKIPPED" in out
+    assert out.strip().endswith("result: FAIL")
+
+
+def test_verify_all_isolates_a_raising_check(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "verify_skein_identity", boom)
+    config = _write_config(tmp_path, tmp_path / "nowhere")
+    assert main(["verify", "all", "--config", str(config)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "skein.strand_slide: FAIL (RuntimeError: boom)" in lines
+    later = lines[lines.index("skein.strand_slide: FAIL (RuntimeError: boom)") + 1 :]
+    assert later[0] == "skein.epsilon_factorization: PASS (laminar-union pairs factor exactly)"
+    assert any(line.startswith("chvar.x1_scan: PASS") for line in later)
+    assert later[-1] == "result: FAIL"
 
 
 def test_verify_all_config_errors(tmp_path, capsys):
