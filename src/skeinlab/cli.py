@@ -76,13 +76,20 @@ _INT_KEYS = ("max_n", "b_samples", "t_samples", "seed", "state_cap")
 # 0.4 KB, so the maximum keeps one scan near 30 s and 40 MB.
 _MIN_B_SAMPLES = 32
 _MAX_B_SAMPLES = 100_000
+# Grid points over all scans, t_samples x b_samples: about 5 min.  Memory
+# stays that of one scan, since each trace value builds its grid in turn.
+_MAX_GRID_POINTS = 1_000_000
 
 
-def _check_b_samples(value: int, name: str) -> None:
-    if value < _MIN_B_SAMPLES:
-        raise ConfigError(f"{name} must be at least {_MIN_B_SAMPLES}")
-    if value > _MAX_B_SAMPLES:
-        raise ConfigError(f"{name} must be at most {_MAX_B_SAMPLES}")
+def _check_grid(t_samples: int, b_samples: int, where: str, t_name: str, b_name: str) -> None:
+    if b_samples < _MIN_B_SAMPLES:
+        raise ConfigError(f"{where}{b_name} must be at least {_MIN_B_SAMPLES}")
+    if b_samples > _MAX_B_SAMPLES:
+        raise ConfigError(f"{where}{b_name} must be at most {_MAX_B_SAMPLES}")
+    if t_samples < 1:
+        raise ConfigError(f"{where}{t_name} must be at least 1")
+    if t_samples * b_samples > _MAX_GRID_POINTS:
+        raise ConfigError(f"{where}{t_name} x {b_name} must be at most {_MAX_GRID_POINTS}")
 
 
 def parse_config(text: str, source: str = "config") -> Dict[str, Union[int, str]]:
@@ -110,9 +117,9 @@ def parse_config(text: str, source: str = "config") -> Dict[str, Union[int, str]
             values[key] = value
     if int(values["max_n"]) < 1:
         raise ConfigError(f"{source}: max_n must be at least 1")
-    _check_b_samples(int(values["b_samples"]), f"{source}: b_samples")
-    if int(values["t_samples"]) < 1:
-        raise ConfigError(f"{source}: t_samples must be at least 1")
+    _check_grid(
+        int(values["t_samples"]), int(values["b_samples"]), f"{source}: ", "t_samples", "b_samples"
+    )
     if int(values["state_cap"]) < 1:
         raise ConfigError(f"{source}: state_cap must be at least 1")
     return values
@@ -318,19 +325,22 @@ def _random_trace_t(rng: random.Random, t: complex):
     return m2_mul(m2_mul(m, ((lam, 0), (0, 1 / lam))), m2_adj(m))
 
 
-# Largest |f| a Fricke check passes with: f vanishes on the traces of any
-# triple whose traces all equal t, so what is left is rounding.
+# f vanishes on the traces of any triple whose traces all equal t, so what
+# is left is rounding.  f is cubic in the traces, so its rounding grows like
+# M^3, M = max(1, |t|, |each trace|); a triple passes when |f| <= tol * M^3.
 _FRICKE_TOL = 1e-8
+# Largest `chvar fricke --trials`; a triple costs about 35 us, so about 35 s.
+_MAX_TRIALS = 1_000_000
 
 
-def _fricke_max_residual(seed: int, trials: int) -> float:
-    """Largest |f| over `trials` random triples, spread over 10 trace
-    values; the first `trials % 10` of them get one triple more.  NaN if
-    any |f| is NaN."""
+def _fricke_max_residual(seed: int, trials: int) -> Tuple[float, bool]:
+    """Largest |f| over `trials` random triples (NaN if any |f| is NaN),
+    and whether every triple passes; the triples are spread over 10 trace
+    values, and the first `trials % 10` of them get one triple more."""
     from . import chvar
 
     rng = random.Random(f"{seed}:fricke")
-    worst = 0.0
+    worst, passed = 0.0, True
     for k in range(10):
         t = _sample_t(rng)
         for _ in range(trials // 10 + (k < trials % 10)):
@@ -339,7 +349,8 @@ def _fricke_max_residual(seed: int, trials: int) -> float:
             residual = abs(chvar.fricke_f(*traces, t))
             if residual > worst or math.isnan(residual):  # NaN stays the maximum
                 worst = residual
-    return worst
+            passed = passed and residual <= _FRICKE_TOL * max(1.0, abs(t), *map(abs, traces)) ** 3
+    return worst, passed
 
 
 def _scans(
@@ -379,8 +390,8 @@ def _scan_healthy(report) -> Tuple[bool, str]:
 
 def _chvar_checks(seed: int, t_samples: int, b_samples: int) -> _Checks:
     def fricke() -> Tuple[str, str]:
-        worst = _fricke_max_residual(seed, 200)
-        if worst < _FRICKE_TOL:
+        worst, passed = _fricke_max_residual(seed, 200)
+        if passed:
             return "PASS", f"max |f| = {worst:.2e} over 200 triples"
         return "FAIL", f"max |f| = {worst:.2e}"
 
@@ -515,14 +526,14 @@ def _cmd_chvar(args: argparse.Namespace) -> int:
     if args.action == "fricke":
         if args.trials < 1:
             raise ConfigError("--trials must be at least 1")
-        worst = _fricke_max_residual(args.seed, args.trials)
+        if args.trials > _MAX_TRIALS:
+            raise ConfigError(f"--trials must be at most {_MAX_TRIALS}")
+        worst, passed = _fricke_max_residual(args.seed, args.trials)
         print(f"trials={args.trials} max_abs_f={worst:.3e}")
-        return _verdict(not worst < _FRICKE_TOL)
+        return _verdict(not passed)
     # scan
     tangles = _parse_tangles(args.tangles)
-    _check_b_samples(args.b_samples, "--b-samples")
-    if args.t_samples < 1:
-        raise ConfigError("--t-samples must be at least 1")
+    _check_grid(args.t_samples, args.b_samples, "", "--t-samples", "--b-samples")
     print(
         f"# tangles={args.tangles} t_samples={args.t_samples} "
         f"b_samples={args.b_samples} seed={args.seed}"

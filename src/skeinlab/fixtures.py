@@ -325,25 +325,26 @@ def _neg(slots: Tuple[Tuple[str, str], ...]) -> Tuple[Tuple[str, str], ...]:
     return tuple(flipped)
 
 
-def _single(token: str, *slots: str) -> Tuple[Tuple[str, str], ...]:
-    return tuple((token, s) for s in slots)
+def _side(text: str) -> Tuple[Tuple[str, str], ...]:
+    # "q*lp1 - x1t1 + t2r1" -> (("q", "lp1"), ("-1", "x1t1"), ("1", "t2r1"))
+    parts = re.split(r" ([+-]) ", text)
+    terms = []
+    for sign, term in zip(["+"] + parts[1::2], parts[0::2]):
+        token, _, slot = term.rpartition("*")
+        token = token or "1"
+        terms.append((token if sign == "+" else "-" + token, slot))
+    return tuple(terms)
+
+
+def _equation(name: str, holes: int, target: str) -> _Identity:
+    """An identity whose target is a flat sum of terms on each side."""
+    lhs, rhs = target.split(" = ")
+    return _Identity(name, holes, target, _side(lhs), _side(rhs))
 
 
 _INVENTORY: Tuple[_Identity, ...] = (
-    _Identity(
-        "x1t1",
-        5,
-        "x1t1 = q*lp1 + qbar*l1 + t2r1 + t4r2",
-        _single("1", "x1t1"),
-        (("q", "lp1"), ("qbar", "l1"), ("1", "t2r1"), ("1", "t4r2")),
-    ),
-    _Identity(
-        "t1x1",
-        5,
-        "t1x1 = qbar*lp1 + q*l1 + t2r1 + t4r2",
-        _single("1", "t1x1"),
-        (("qbar", "lp1"), ("q", "l1"), ("1", "t2r1"), ("1", "t4r2")),
-    ),
+    _equation("x1t1", 5, "x1t1 = q*lp1 + qbar*l1 + t2r1 + t4r2"),
+    _equation("t1x1", 5, "t1x1 = qbar*lp1 + q*l1 + t2r1 + t4r2"),
     _Identity(
         "commutator_l1",
         5,
@@ -379,155 +380,55 @@ _INVENTORY: Tuple[_Identity, ...] = (
             ("-1", "x2tt2tt4"),
         ),
     ),
-    _Identity(
-        "x1s3",
-        5,
-        "x1s3 = q*ga12 + qbar*ga34 + tt2t4 + t2tt4",
-        _single("1", "x1s3"),
-        (("q", "ga12"), ("qbar", "ga34"), ("1", "tt2t4"), ("1", "t2tt4")),
-    ),
-    _Identity(
-        "x2s3",
-        5,
-        "x2s3 = q*ga41 + qbar*ga23 + tt1t3 + t1tt3",
-        _single("1", "x2s3"),
-        (("q", "ga41"), ("qbar", "ga23"), ("1", "tt1t3"), ("1", "t1tt3")),
-    ),
-    _Identity(
+    _equation("x1s3", 5, "x1s3 = q*ga12 + qbar*ga34 + tt2t4 + t2tt4"),
+    _equation("x2s3", 5, "x2s3 = q*ga41 + qbar*ga23 + tt1t3 + t1tt3"),
+    _equation(
         "u1s3",
         5,
         "u1s3 = q^2*ga12tt1 - q^2*ga1tt2 - q^2*ga2tt4 - x1t1 + t2r1 + t4r2"
         " - q*tt4tt2t1 + alpha*l1",
-        _single("1", "u1s3"),
-        (
-            ("q^2", "ga12tt1"),
-            ("-q^2", "ga1tt2"),
-            ("-q^2", "ga2tt4"),
-            ("-1", "x1t1"),
-            ("1", "t2r1"),
-            ("1", "t4r2"),
-            ("-q", "tt4tt2t1"),
-            ("alpha", "l1"),
-        ),
     ),
-    _Identity(
+    _equation(
         "l1s3",
         5,
         "l1s3 = q^2*ga12t1 - q^2*ga2t4 - q^2*ga1t2 - x1tt1 + tt4r2 + tt2r1"
         " - q*t4t2tt1 + alpha*u1",
-        _single("1", "l1s3"),
-        (
-            ("q^2", "ga12t1"),
-            ("-q^2", "ga2t4"),
-            ("-q^2", "ga1t2"),
-            ("-1", "x1tt1"),
-            ("1", "tt4r2"),
-            ("1", "tt2r1"),
-            ("-q", "t4t2tt1"),
-            ("alpha", "u1"),
-        ),
     ),
-    _Identity(
+    _equation(
         "u2s3",
         5,
         "u2s3 = ga23tt2 - q^2*ga2tt3 - ga3tt1 - q^2*x2t2 + t3r2 + q^2*t1r3"
         " - q*tt1tt3t2 + alpha*l2",
-        _single("1", "u2s3"),
-        (
-            ("1", "ga23tt2"),
-            ("-q^2", "ga2tt3"),
-            ("-1", "ga3tt1"),
-            ("-q^2", "x2t2"),
-            ("1", "t3r2"),
-            ("q^2", "t1r3"),
-            ("-q", "tt1tt3t2"),
-            ("alpha", "l2"),
-        ),
     ),
-    _Identity(
+    _equation(
         "l2s3",
         5,
         "l2s3 = ga23t2 - ga3t1 - q^2*ga2t3 - q^2*x2tt2 + q^2*tt1r3 + tt3r2"
         " - q*t1t3tt2 + alpha*u2",
-        _single("1", "l2s3"),
-        (
-            ("1", "ga23t2"),
-            ("-1", "ga3t1"),
-            ("-q^2", "ga2t3"),
-            ("-q^2", "x2tt2"),
-            ("q^2", "tt1r3"),
-            ("1", "tt3r2"),
-            ("-q", "t1t3tt2"),
-            ("alpha", "u2"),
-        ),
     ),
-    _Identity(
+    _equation(
         "u3s3",
         5,
         "u3s3 = ga34tt3 - ga3tt4 - q^2*ga4tt2 - q^2*x1t3 + q^2*t4r3 + t2r4"
         " - q*tt2tt4t3 + alpha*l3",
-        _single("1", "u3s3"),
-        (
-            ("1", "ga34tt3"),
-            ("-1", "ga3tt4"),
-            ("-q^2", "ga4tt2"),
-            ("-q^2", "x1t3"),
-            ("q^2", "t4r3"),
-            ("1", "t2r4"),
-            ("-q", "tt2tt4t3"),
-            ("alpha", "l3"),
-        ),
     ),
-    _Identity(
+    _equation(
         "l3s3",
         5,
         "l3s3 = ga34t3 - q^2*ga4t2 - ga3t4 - q^2*x1tt3 + tt2r4 + q^2*tt4r3"
         " - q*t2t4tt3 + alpha*u3",
-        _single("1", "l3s3"),
-        (
-            ("1", "ga34t3"),
-            ("-q^2", "ga4t2"),
-            ("-1", "ga3t4"),
-            ("-q^2", "x1tt3"),
-            ("1", "tt2r4"),
-            ("q^2", "tt4r3"),
-            ("-q", "t2t4tt3"),
-            ("alpha", "u3"),
-        ),
     ),
-    _Identity(
+    _equation(
         "u4s3",
         5,
         "u4s3 = q^2*ga41tt4 - q^2*ga4tt1 - q^2*ga1tt3 - x2t4 + t1r4 + t3r1"
         " - q*tt1tt3t4 + alpha*l4",
-        _single("1", "u4s3"),
-        (
-            ("q^2", "ga41tt4"),
-            ("-q^2", "ga4tt1"),
-            ("-q^2", "ga1tt3"),
-            ("-1", "x2t4"),
-            ("1", "t1r4"),
-            ("1", "t3r1"),
-            ("-q", "tt1tt3t4"),
-            ("alpha", "l4"),
-        ),
     ),
-    _Identity(
+    _equation(
         "l4s3",
         5,
         "l4s3 = q^2*ga41t4 - q^2*ga1t3 - q^2*ga4t1 - x2tt4 + tt3r1 + tt1r4"
         " - q*t1t3tt4 + alpha*u4",
-        _single("1", "l4s3"),
-        (
-            ("q^2", "ga41t4"),
-            ("-q^2", "ga1t3"),
-            ("-q^2", "ga4t1"),
-            ("-1", "x2tt4"),
-            ("1", "tt3r1"),
-            ("1", "tt1r4"),
-            ("-q", "t1t3tt4"),
-            ("alpha", "u4"),
-        ),
     ),
     _Identity(
         "alpha_six_term",
@@ -564,8 +465,8 @@ _INVENTORY: Tuple[_Identity, ...] = (
         "r2_hole1",
         1,
         "a strand pushed back and forth across a loop resolves to plain nesting",
-        _single("1", "r2poked"),
-        _single("1", "r2nested"),
+        (("1", "r2poked"),),
+        (("1", "r2nested"),),
     ),
 )
 
@@ -592,16 +493,6 @@ def shipped_diagram(name: str) -> Diagram:
         return parse_diagram(_FILLED_SLOTS[name])
     except KeyError:
         raise ValueError(f"no shipped diagram named {name!r}") from None
-
-
-def _slot_users() -> Dict[str, List[str]]:
-    users: Dict[str, List[str]] = {}
-    for ident in _INVENTORY:
-        for _, slot in ident.lhs + ident.rhs:
-            users.setdefault(slot, [])
-            if ident.name not in users[slot]:
-                users[slot].append(ident.name)
-    return users
 
 
 def _manifest_text() -> str:
@@ -652,15 +543,17 @@ def emit_fixture_templates(path: "str | Path", force: bool = False) -> List[str]
     if force or not manifest.exists():
         manifest.write_text(_manifest_text())
         written.append("manifest.txt")
-    slot_holes = {
-        slot: ident.holes
-        for ident in _INVENTORY
-        for _, slot in ident.lhs + ident.rhs
-    }
-    users = _slot_users()
+    users: Dict[str, List[str]] = {}
+    holes: Dict[str, int] = {}
+    for ident in _INVENTORY:
+        for _, slot in ident.lhs + ident.rhs:
+            names = users.setdefault(slot, [])
+            if ident.name not in names:
+                names.append(ident.name)
+            holes[slot] = ident.holes
     for slot in sorted(users):
         target = root / f"{slot}.diagram"
         if force or not target.exists():
-            target.write_text(_slot_text(slot, users[slot], slot_holes[slot]))
+            target.write_text(_slot_text(slot, users[slot], holes[slot]))
             written.append(f"{slot}.diagram")
     return written

@@ -35,6 +35,7 @@ def test_parse_config_defaults_and_overrides():
         ("seed = 1\nalso bad", "line 2"),
         ("b_samples = 10", "at least 32"),
         ("b_samples = 100001", "at most 100000"),
+        ("t_samples = 25001", "t_samples x b_samples must be at most 1000000"),
         ("max_n = 0", "at least 1"),
     ],
 )
@@ -198,6 +199,31 @@ def test_chvar_fricke_fails_on_nan_residual(tmp_path, capsys, monkeypatch):
     assert out.strip().endswith("result: FAIL")
 
 
+def test_chvar_fricke_bound_grows_with_the_traces(capsys):
+    # rounding alone takes |f| past 1e-8 here: the bound scales with M^3
+    assert main(["chvar", "fricke", "--trials", "20000", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert float(re.search(r"max_abs_f=(\S+)", out).group(1)) > 1e-8
+    assert out.strip().endswith("result: PASS")
+
+
+def test_chvar_fricke_fails_on_a_wrong_residual(tmp_path, capsys, monkeypatch):
+    original = chvar.fricke_f
+    monkeypatch.setattr(chvar, "fricke_f", lambda *args: original(*args) + 1)
+    assert main(["chvar", "fricke", "--trials", "10"]) == 1
+    assert capsys.readouterr().out.strip().endswith("result: FAIL")
+    config = _write_config(tmp_path, tmp_path / "nowhere")
+    assert main(["verify", "all", "--config", str(config)]) == 1
+    assert "chvar.fricke_random: FAIL (max |f| = " in capsys.readouterr().out
+
+
+def test_chvar_fricke_rejects_huge_trial_count(capsys):
+    assert main(["chvar", "fricke", "--trials", "1000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be at most 1000000" in captured.err
+
+
 def test_chvar_fricke_rejects_empty_trial_count(capsys):
     assert main(["chvar", "fricke", "--trials", "0"]) == 2
     assert "--trials must be at least 1" in capsys.readouterr().err
@@ -265,6 +291,14 @@ def test_chvar_scan_rejects_huge_grid_before_output(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--b-samples must be at most 100000" in captured.err
+
+
+def test_chvar_scan_rejects_huge_total_grid_before_output(capsys):
+    argv = ["chvar", "scan", "--t-samples", "11", "--b-samples", "100000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--t-samples x --b-samples must be at most 1000000" in captured.err
 
 
 def test_chvar_scan_rejects_empty_sample_count(capsys):

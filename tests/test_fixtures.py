@@ -1,5 +1,7 @@
 """Tests for fixture manifests, templates, and directory verification."""
 
+import re
+
 import pytest
 
 from skeinlab.fixtures import (
@@ -88,6 +90,25 @@ def test_emit_templates_then_verify(tmp_path):
     others = [r for r in results if r.name != "r2_hole1"]
     assert others and all(r.status == "SKIPPED" for r in others)
     assert "not transcribed" in others[0].detail
+
+
+def test_shipped_sides_name_their_target_curves(tmp_path):
+    # Each side of a target equation names exactly the slots of that side's
+    # manifest lines; for factored targets this is the only link between them.
+    emit_fixture_templates(tmp_path)
+    text = (tmp_path / "manifest.txt").read_text()
+    targets = re.findall(r"^# target: (.*)$", text, re.MULTILINE)
+    specs = parse_manifest(text)
+    assert len(targets) == len(specs)
+    checked = 0
+    for target, spec in zip(targets, specs):
+        if " = " not in target:
+            continue
+        for side_text, side in zip(target.split(" = "), (spec.lhs, spec.rhs)):
+            named = [w for w in re.findall(r"[a-z]\w*", side_text) if w not in ("q", "qbar", "alpha", "h")]
+            assert sorted(named) == sorted(f.removesuffix(".diagram") for _, f in side), spec.name
+        checked += 1
+    assert checked == 15
 
 
 def test_emit_is_idempotent_without_force(tmp_path):
