@@ -23,6 +23,7 @@ import os
 import random
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -79,6 +80,18 @@ _MAX_B_SAMPLES = 100_000
 # Grid points over all scans, t_samples x b_samples: about 5 min.  Memory
 # stays that of one scan, since each trace value builds its grid in turn.
 _MAX_GRID_POINTS = 1_000_000
+# Largest degree for `cheby verify --max-n`, `ncverify --max-n` and the
+# config's `max_n`.  The rewriting checks cost the most and grow about as
+# n^3: at 96, `ncverify` takes about 25 s and 97 MB, `verify all` 26 s and
+# 90 MB.
+_MAX_DEGREE = 96
+
+
+def _check_degree(max_n: int, least: int, name: str) -> None:
+    if max_n < least:
+        raise ConfigError(f"{name} must be at least {least}")
+    if max_n > _MAX_DEGREE:
+        raise ConfigError(f"{name} must be at most {_MAX_DEGREE}")
 
 
 def _check_grid(t_samples: int, b_samples: int, where: str, t_name: str, b_name: str) -> None:
@@ -115,8 +128,7 @@ def parse_config(text: str, source: str = "config") -> Dict[str, Union[int, str]
                 ) from None
         else:
             values[key] = value
-    if int(values["max_n"]) < 1:
-        raise ConfigError(f"{source}: max_n must be at least 1")
+    _check_degree(int(values["max_n"]), 1, f"{source}: max_n")
     _check_grid(
         int(values["t_samples"]), int(values["b_samples"]), f"{source}: ", "t_samples", "b_samples"
     )
@@ -145,30 +157,29 @@ def _report(results: Sequence[CheckResult], include_timings: bool = False) -> in
 # Suites
 
 
+# The Chebyshev identities, each as (name, whether it holds at degree n).
+_CHEBY_IDENTITIES: List[Tuple[str, Callable[[int], bool]]] = [
+    ("qdiff_closed_form", lambda n: cheby.qdiff_sine_sum(n) == cheby.qdiff_sine_sum_closed(n)),
+    (
+        "cosine_from_sines",
+        lambda n: cheby.cheb_cosine(n) == cheby.cheb_sine(n + 1) - cheby.cheb_sine(n - 1),
+    ),
+    (
+        "sine_cosine_product",
+        lambda n: cheby.cheb_sine(n) * cheby.cheb_cosine(n) == cheby.cheb_sine(2 * n),
+    ),
+]
+
+
+def _first_failure(holds: Callable[[int], bool], max_n: int) -> Tuple[str, str]:
+    for n in range(max_n + 1):
+        if not holds(n):
+            return "FAIL", f"first failure at n={n}"
+    return "PASS", f"n <= {max_n}"
+
+
 def _cheby_identity_checks(max_n: int) -> _Checks:
-    def closed_form() -> Tuple[str, str]:
-        for n in range(max_n + 1):
-            if cheby.qdiff_sine_sum(n) != cheby.qdiff_sine_sum_closed(n):
-                return "FAIL", f"first failure at n={n}"
-        return "PASS", f"n <= {max_n}"
-
-    def cosine_from_sines() -> Tuple[str, str]:
-        for n in range(max_n + 1):
-            if cheby.cheb_cosine(n) != cheby.cheb_sine(n + 1) - cheby.cheb_sine(n - 1):
-                return "FAIL", f"first failure at n={n}"
-        return "PASS", f"n <= {max_n}"
-
-    def sine_cosine_product() -> Tuple[str, str]:
-        for n in range(max_n + 1):
-            if cheby.cheb_sine(n) * cheby.cheb_cosine(n) != cheby.cheb_sine(2 * n):
-                return "FAIL", f"first failure at n={n}"
-        return "PASS", f"n <= {max_n}"
-
-    return [
-        ("qdiff_closed_form", closed_form),
-        ("cosine_from_sines", cosine_from_sines),
-        ("sine_cosine_product", sine_cosine_product),
-    ]
+    return [(name, partial(_first_failure, holds, max_n)) for name, holds in _CHEBY_IDENTITIES]
 
 
 def _suite(suite: str, checks: _Checks) -> List[CheckResult]:
@@ -444,8 +455,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cheby(args: argparse.Namespace) -> int:
-    if args.max_n < 0:
-        raise ConfigError("--max-n must be at least 0")
+    _check_degree(args.max_n, 0, "--max-n")
     failed = False
     for name, check in _cheby_identity_checks(args.max_n):
         status, detail = check()
@@ -455,8 +465,7 @@ def _cmd_cheby(args: argparse.Namespace) -> int:
 
 
 def _cmd_ncverify(args: argparse.Namespace) -> int:
-    if args.max_n < 1:
-        raise ConfigError("--max-n must be at least 1")
+    _check_degree(args.max_n, 1, "--max-n")
     failed = False
     for n in range(1, args.max_n + 1):
         result = ncrewrite.verify_commute_many(n, route=args.route)

@@ -86,12 +86,12 @@ def run_check(name: str, check: Callable[[], Tuple[str, str]]) -> CheckResult:
 # Scalar tokens
 
 
-_FACTOR_PATTERN = r"(?:\d+|(?:qbar|q|h|alpha)(?:\^-?\d+)?)"
+# One factor: an integer, a braced power of q as `Laurent.render` writes it
+# (`q^{k}`, `q^{k/2}`), or q, qbar, h or alpha with an optional power; alpha
+# has no negative powers.  The braced form comes first, since a term that
+# matched a bare `q` would not be retried.
+_FACTOR_PATTERN = r"(?:\d+|q\^\{-?\d+(?:/2)?\}|(?:qbar|q|h)(?:\^-?\d+)?|alpha(?:\^\d+)?)"
 _TERM_RE = re.compile(rf"([+-]?)({_FACTOR_PATTERN}(?:\*{_FACTOR_PATTERN})*)")
-
-
-class _AlphaPowerError(ValueError):
-    """A term's power of alpha exceeds `MAX_ALPHA_POWER`."""
 
 
 def _scalar_factor(token: str) -> Tuple[Laurent, int]:
@@ -99,28 +99,29 @@ def _scalar_factor(token: str) -> Tuple[Laurent, int]:
     if token.isdigit():
         return Laurent.integer(int(token)), 0
     name, _, exp = token.partition("^")
+    if exp.startswith("{"):
+        k, _, half = exp[1:-1].partition("/")
+        return Laurent.h_power(int(k) if half else 2 * int(k)), 0
     k = int(exp) if exp else 1
-    if name == "q":
-        return Laurent.q_power(k), 0
-    if name == "qbar":
-        return Laurent.q_power(-k), 0
+    if name == "alpha":
+        return ONE, k
     if name == "h":
         return Laurent.h_power(k), 0
-    if name == "alpha":
-        if k < 0:
-            raise ValueError("alpha has no negative powers")
-        return ONE, k
-    raise ValueError(f"unknown factor {token!r}")
+    return Laurent.q_power(-k if name == "qbar" else k), 0
 
 
-def _friendly_scalar(s: str) -> Laurent:
+def parse_scalar(text: str) -> Laurent:
+    """Scalar grammar: signed products of integers, q, qbar, h, alpha and
+    their integer powers (`-q^2*alpha`, `q-qbar`), where q's power may
+    also be braced (`+1*q^{1/2}`), so every `Laurent.render` output parses
+    back to its value.  Whitespace is ignored."""
+    s = "".join(text.split())
     total = Laurent.zero()
     pos = 0
-    first = True
-    while pos < len(s):
+    while True:
         m = _TERM_RE.match(s, pos)
-        if m is None or (not first and not m.group(1)):
-            raise ValueError(f"bad term at offset {pos}")
+        if m is None or (pos and not m.group(1)):
+            raise ValueError(f"cannot parse scalar {text!r}")
         term = Laurent.integer(-1 if m.group(1) == "-" else 1)
         alpha_power = 0
         for token in m.group(2).split("*"):
@@ -128,31 +129,11 @@ def _friendly_scalar(s: str) -> Laurent:
             term = term * factor
             alpha_power += k
         if alpha_power > MAX_ALPHA_POWER:
-            raise _AlphaPowerError(f"alpha power {alpha_power} exceeds the limit {MAX_ALPHA_POWER}")
+            raise ValueError(f"alpha power {alpha_power} exceeds the limit {MAX_ALPHA_POWER}")
         total = total + term * Q_PLUS_QINV**alpha_power
         pos = m.end()
-        first = False
-    if first:
-        raise ValueError("empty scalar")
-    return total
-
-
-def parse_scalar(text: str) -> Laurent:
-    """Scalar grammar: signed products of integers, q, qbar, h, alpha and
-    their integer powers (`-q^2*alpha`, `q-qbar`); falls back to the exact
-    renderer form (`+1*q^{1/2}`)."""
-    s = "".join(text.split())
-    if not s:
-        raise ValueError("empty scalar")
-    try:
-        return _friendly_scalar(s)
-    except _AlphaPowerError:
-        raise
-    except ValueError:
-        try:
-            return Laurent.parse(s)
-        except ValueError:
-            raise ValueError(f"cannot parse scalar {text!r}") from None
+        if pos == len(s):
+            return total
 
 
 # ---------------------------------------------------------------------------

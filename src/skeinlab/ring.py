@@ -17,7 +17,6 @@ from any of these rings.
 
 from __future__ import annotations
 
-import re
 from functools import reduce
 from typing import Dict, Hashable, Mapping, Tuple, TypeVar
 
@@ -225,7 +224,8 @@ class Laurent:
     # -- text form -----------------------------------------------------------
 
     def render(self) -> str:
-        """Canonical text form, terms in ascending exponent order."""
+        """Canonical text form, terms in ascending exponent order;
+        `fixtures.parse_scalar` reads it back."""
         if not self.terms:
             return "0"
         parts = []
@@ -239,34 +239,6 @@ class Laurent:
                 exp = str(e // 2) if e % 2 == 0 else f"{e}/2"
                 parts.append(f"{sign}{mag}*q^{{{exp}}}")
         return "".join(parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "Laurent":
-        """Inverse of render.  Whitespace is ignored; duplicates are summed."""
-        s = "".join(text.split())
-        if s in ("", "0"):
-            return cls.zero()
-        if s[0] not in "+-":
-            s = "+" + s
-        terms: Dict[int, int] = {}
-        pos = 0
-        for m in _TERM_RE.finditer(s):
-            if m.start() != pos:
-                break
-            pos = m.end()
-            sign, mag, num, half = m.groups()
-            c = int(mag) if sign == "+" else -int(mag)
-            if num is None:
-                e = 0
-            else:
-                e = int(num) if half else 2 * int(num)
-            terms[e] = terms.get(e, 0) + c
-        if pos != len(s):
-            raise ValueError(f"cannot parse scalar text at offset {pos}: {text!r}")
-        return cls(terms)
-
-
-_TERM_RE = re.compile(r"([+-])(\d+)(?:\*q\^\{(-?\d+)(/2)?\})?")
 
 
 def _as_laurent(value: "Laurent | int") -> Laurent:

@@ -1,6 +1,7 @@
 """Tests for the trace-calculus constructions and classical evaluations."""
 
 import cmath
+import itertools
 import math
 import random
 import re
@@ -30,6 +31,7 @@ from skeinlab.chvar import (
     zero_locus_roots,
 )
 from skeinlab.cheby import cheb_sine
+from skeinlab.skein import Board, SkeinElement, epsilon_of_element
 
 
 # numpy arrays or chvar's row pairs
@@ -399,6 +401,27 @@ def test_epsilon_band_formulas_match_direct_traces():
                 assert abs(basics.eps_u[i - 1] - epsilon_u_direct(point, i)) < 1e-9
             assert basics.eps_t == -t
             assert abs(basics.eps_x - (point.data.t24 - t * t)) < 1e-12
+
+
+def test_hole_set_basis_cannot_write_l2_pinned():
+    """Pins the hole-set basis's gap: at rho = (x1, x2^-1, x3, x4^-1) on 4
+    holes, eps(u_2) is the basis curve {1,2,3}, but eps(l_2), a curve
+    around the same three holes routed the other way, is none of the 15
+    hole-set curves, so no torsion candidate's factor u_2 - l_2 can be
+    written.  Faithful curve classes (ROADMAP item 3) swap this pin for a
+    test that writes l_2 and checks it."""
+    t = 2 * math.cos(0.7)
+    b = cli._sample_b(random.Random(12), t)
+    board = Board(4)
+    hole_sets = [s for k in range(1, 5) for s in itertools.combinations(range(1, 5), k)]
+    for branches in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        point = build_X1_point(((1, 3), (1, 5), (3, 7), 0.4 + 0.3j), t, b, branches)
+        x1, x2, x3, x4 = point.x
+        rho = (x1, _inv(x2), x3, _inv(x4))
+        eps = {s: epsilon_of_element(SkeinElement.basis(board, [s]), rho) for s in hole_sets}
+        assert abs(eps[(1, 2, 3)] - epsilon_u_direct(point, 2)) < 1e-9
+        # nearest curve at 1.72, 1.04, 0.200 and 0.594 on the four branches
+        assert min(abs(v - epsilon_l_direct(point, 2)) for v in eps.values()) > 0.1
 
 
 def test_epsilon_invariant_under_conjugation():

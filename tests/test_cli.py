@@ -37,6 +37,7 @@ def test_parse_config_defaults_and_overrides():
         ("b_samples = 100001", "at most 100000"),
         ("t_samples = 25001", "t_samples x b_samples must be at most 1000000"),
         ("max_n = 0", "at least 1"),
+        ("max_n = 97", "max_n must be at most 96"),
     ],
 )
 def test_parse_config_errors(text, needle):
@@ -68,6 +69,18 @@ def test_ncverify_rejects_empty_degree_range(max_n, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-n must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cheby", "verify", "--max-n", "97"], ["ncverify", "--max-n", "97"]],
+    ids=["cheby", "ncverify"],
+)
+def test_degree_above_the_maximum_fails_before_output(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-n must be at most 96" in captured.err
 
 
 def test_cheby_rejects_negative_degree(capsys):
@@ -462,6 +475,11 @@ def test_verify_all_config_errors(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
     assert main(["verify", "all", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "not found" in capsys.readouterr().err
+    config.write_text("max_n = 97\n", encoding="utf-8")
+    assert main(["verify", "all", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_n must be at most 96" in captured.err
 
 
 def test_closed_pipe_exits_quietly():

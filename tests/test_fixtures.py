@@ -30,12 +30,15 @@ def test_parse_scalar_friendly_tokens():
     assert parse_scalar("2*q^-1") == Laurent({-2: 2})
 
 
-def test_parse_scalar_renderer_fallback_and_errors():
+def test_parse_scalar_renderer_form_and_errors():
     assert parse_scalar("+1*q^{1/2}") == Laurent.h_power(1)
     assert parse_scalar("+2*q^{-1}+1") == Laurent({-2: 2, 0: 1})
-    for bad in ("", "q**q", "spam", "alpha^-1", "q^"):
-        with pytest.raises(ValueError):
+    assert parse_scalar("alpha*q^{-1/2}") == Laurent({1: 1, -3: 1})
+    for bad in ("", "q**q", "spam", "alpha^-1", "q^", "q^{}", "q^{1/2"):
+        with pytest.raises(ValueError, match="cannot parse scalar"):
             parse_scalar(bad)
+    with pytest.raises(ValueError, match="alpha power 65 exceeds the limit 64"):
+        parse_scalar("alpha^64*alpha")
 
 
 def test_parse_manifest_roundtrip():

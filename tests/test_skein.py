@@ -28,6 +28,7 @@ from oracles import (
 )
 from state_sum_reference import reference_groups
 from skeinlab.geom import arc_winding, find_crossings, loop_winding, ray_events
+from skeinlab.ncrewrite import collar_algebra
 from skeinlab.ring import Laurent
 from skeinlab import skein
 from skeinlab.skein import (
@@ -922,6 +923,46 @@ def test_epsilon_multiplicative_for_laminar_factors():
             lhs = epsilon_of_element(multiply(x, y), mats)
             rhs = epsilon_of_element(x, mats) * epsilon_of_element(y, mats)
             assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
+
+
+def test_collar_rules_are_skein_identities():
+    """Each rule (a, b) -> [(coeff, word)] of `collar_algebra` holds in the
+    state sum on 3 holes, with t1, x and l1 the curves around {1,2}, {2,3}
+    and {1,3} and c, cp the boundary terms of t1*x and x*l1; the rules are
+    read from the presentation's own table.  Scaling one replacement
+    coefficient by q must break the identity.  The hole-set basis makes
+    t1*x equal x*t1, so this cannot see routing; ROADMAP item 8 stage 2
+    checks the ordered products once curve classes are faithful."""
+    b = Board(3)
+
+    def curve(*comps):
+        return SkeinElement.basis(b, comps)
+
+    spec = collar_algebra()
+    elements = {
+        "t1": curve((1, 2)),
+        "x": curve((2, 3)),
+        "l1": curve((1, 3)),
+        "c": curve((1,), (3,)) + curve((2,), (1, 2, 3)),
+        "cp": curve((1,), (2,)) + curve((3,), (1, 2, 3)),
+    }
+    gens = [elements[name] for name in spec.generators]
+
+    def combination(replacement):
+        total = SkeinElement.zero(b)
+        for coeff, word in replacement:
+            product = gens[word[0]]
+            for g in word[1:]:
+                product = multiply(product, gens[g])
+            total = total + product.scale(coeff)
+        return total
+
+    assert len(spec.rules) == 2
+    for (left, right), replacement in spec.rules.items():
+        product = multiply(gens[left], gens[right])
+        assert product == combination(replacement)
+        (coeff, word), *rest = replacement
+        assert product != combination([(coeff * Q, word), *rest])
 
 
 def test_subset_basis_forgets_routing():
