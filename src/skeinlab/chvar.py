@@ -21,6 +21,7 @@ from .ring import Matrix2, m2_adj, m2_det, m2_mul, m2_trace
 __all__ = [
     "EpsilonBasics",
     "EpsilonTorsion",
+    "MAX_SLOPE_DENOMINATOR",
     "ReprPoint",
     "ScanRecord",
     "ScanReport",
@@ -198,10 +199,19 @@ def _roots(coeffs: Sequence[complex]) -> List[complex]:
     return [z - p(z) / dp(z) if dp(z) else z for z in zs]
 
 
+# Largest slope denominator.  A two-bridge representation costs about b^2,
+# 0.8 s of CPU per trace value at b = 150, and a default scan resolves 4
+# tangles at each of 8 trace values: the maximum keeps it near 30 s.
+MAX_SLOPE_DENOMINATOR = 150
+
+
 def check_slope(a: int, b: int) -> None:
-    """Reject a two-bridge slope a/b unless b > 2 and a/b is in lowest terms."""
+    """Reject a two-bridge slope a/b unless 2 < b <= MAX_SLOPE_DENOMINATOR
+    and a/b is in lowest terms."""
     if b <= 2:
         raise ValueError("b > 2 required")
+    if b > MAX_SLOPE_DENOMINATOR:
+        raise ValueError(f"b <= {MAX_SLOPE_DENOMINATOR} required")
     if math.gcd(abs(a), b) != 1:
         raise ValueError("a/b must be in lowest terms")
 

@@ -38,7 +38,6 @@ from .fixtures import (
 )
 from .ring import m2_adj, m2_det, m2_mul, m2_trace
 from .skein import (
-    DEFAULT_STATE_CAP,
     Board,
     DiagramError,
     SkeinElement,
@@ -69,9 +68,8 @@ _CONFIG_DEFAULTS: Dict[str, Union[int, str]] = {
     "t_samples": 2,
     "fixture_dir": "fixtures",
     "seed": 0,
-    "state_cap": DEFAULT_STATE_CAP,
 }
-_INT_KEYS = ("max_n", "b_samples", "t_samples", "seed", "state_cap")
+_INT_KEYS = ("max_n", "b_samples", "t_samples", "seed")
 
 # Grid points per scanned trace value.  A point costs about 0.3 ms and
 # 0.4 KB, so the maximum keeps one scan near 30 s and 40 MB.
@@ -132,8 +130,6 @@ def parse_config(text: str, source: str = "config") -> Dict[str, Union[int, str]
     _check_grid(
         int(values["t_samples"]), int(values["b_samples"]), f"{source}: ", "t_samples", "b_samples"
     )
-    if int(values["state_cap"]) < 1:
-        raise ConfigError(f"{source}: state_cap must be at least 1")
     return values
 
 
@@ -240,13 +236,13 @@ def _random_sl2_int(rng: random.Random) -> Tuple[Tuple[int, int], Tuple[int, int
     return m
 
 
-def _skein_suite(seed: int, state_cap: int, fixture_dir: str) -> List[CheckResult]:
+def _skein_suite(seed: int, fixture_dir: str) -> List[CheckResult]:
     def roundtrip() -> Tuple[str, str]:
         rng = random.Random(f"{seed}:skein-roundtrip")
         board = Board(3)
         for _ in range(12):
             m = _random_laminar(rng, 3, 3)
-            element = resolve(canonical_diagram(m, board), state_cap=state_cap)
+            element = resolve(canonical_diagram(m, board))
             if element != SkeinElement.basis(board, m):
                 return "FAIL", f"roundtrip broke on {m}"
         return "PASS", "12 random multicurves on 3 holes"
@@ -263,9 +259,7 @@ def _skein_suite(seed: int, state_cap: int, fixture_dir: str) -> List[CheckResul
 
     def strand_slide() -> Tuple[str, str]:
         report = verify_skein_identity(
-            [(1, shipped_diagram("r2poked"))],
-            [(1, shipped_diagram("r2nested"))],
-            state_cap=state_cap,
+            [(1, shipped_diagram("r2poked"))], [(1, shipped_diagram("r2nested"))]
         )
         if report.ok:
             return "PASS", "poked loop equals plain nesting"
@@ -281,7 +275,7 @@ def _skein_suite(seed: int, state_cap: int, fixture_dir: str) -> List[CheckResul
             part_b = tuple(c for c, keep in zip(union, mask) if not keep)
             a = SkeinElement.basis(board, part_a)
             b = SkeinElement.basis(board, part_b)
-            product = multiply(a, b, state_cap=state_cap)
+            product = multiply(a, b)
             for _ in range(3):
                 rho = [_random_sl2_int(rng) for _ in range(3)]
                 lhs = epsilon_of_element(product, rho)
@@ -428,7 +422,7 @@ def run_all(config: Dict[str, Union[int, str]]) -> List[CheckResult]:
     return (
         _suite("cheby", _cheby_identity_checks(max_n))
         + _suite("ncrewrite", _ncrewrite_checks(max_n))
-        + _skein_suite(seed, int(config["state_cap"]), str(config["fixture_dir"]))
+        + _skein_suite(seed, str(config["fixture_dir"]))
         + _suite("chvar", _chvar_checks(seed, int(config["t_samples"]), int(config["b_samples"])))
     )
 
@@ -490,13 +484,13 @@ def _read_diagram(path: str):
 
 def _cmd_skein(args: argparse.Namespace) -> int:
     if args.action == "resolve":
-        element = resolve(_read_diagram(args.file), state_cap=args.state_cap)
+        element = resolve(_read_diagram(args.file))
         print(element.render())
         return 0
     if args.action == "multiply":
-        ea = resolve(_read_diagram(args.file_a), state_cap=args.state_cap)
-        eb = resolve(_read_diagram(args.file_b), state_cap=args.state_cap)
-        print(multiply(ea, eb, state_cap=args.state_cap).render())
+        ea = resolve(_read_diagram(args.file_a))
+        eb = resolve(_read_diagram(args.file_b))
+        print(multiply(ea, eb).render())
         return 0
     # verify-fixture
     return _report([replace(r, name=f"fixture {r.name}") for r in verify_fixture_dir(args.dir)])
@@ -591,11 +585,9 @@ def _build_parser() -> argparse.ArgumentParser:
     skein_sub = p_skein.add_subparsers(dest="action", required=True)
     p_resolve = skein_sub.add_parser("resolve")
     p_resolve.add_argument("file")
-    p_resolve.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p_mult = skein_sub.add_parser("multiply")
     p_mult.add_argument("file_a")
     p_mult.add_argument("file_b")
-    p_mult.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p_fix = skein_sub.add_parser("verify-fixture")
     p_fix.add_argument("dir")
     p_skein.set_defaults(func=_cmd_skein)

@@ -49,7 +49,10 @@ MINUS_ALPHA = -Q_PLUS_QINV
 _PIN = Fraction(5, 16)
 _HALF = Fraction(1, 2)
 
-DEFAULT_STATE_CAP = 24
+# Most crossings in one crossing-connected group: `resolve` visits all 2^c
+# smoothings of a group, and a group at the cap is 2^24 states, minutes of
+# CPU.
+STATE_CAP = 24
 
 # Largest board: `resolve` keeps a winding vector of this length per loop
 # and per arc, so an unbounded header could exhaust memory.
@@ -165,6 +168,15 @@ class Crossing:
     left: bool  # the second branch crosses the first from right to left
 
 
+def _over_token(ids: Sequence[str], br1: Branch, br2: Branch, over: int) -> str:
+    """The `over` line token naming branch `over` (0 or 1) of a crossing
+    as the over branch."""
+    if br1[0] != br2[0]:
+        return ids[(br1, br2)[over][0]]
+    top, bottom = (br1, br2) if over == 0 else (br2, br1)
+    return ids[br1[0]] + ("-" if top[1] + top[2] < bottom[1] + bottom[2] else "+")
+
+
 class Diagram:
     """Validated link diagram: closed polylines plus over/under data.
 
@@ -186,7 +198,29 @@ class Diagram:
         if ids is None:
             ids = [f"c{i}" for i in range(len(polylines))]
         polys = [tuple(p) for p in polylines]
-        self._build(board, polys, ids, find_crossings(board.n_holes, polys, ids), over_tokens)
+        contacts = find_crossings(board.n_holes, polys, ids)
+        if len(over_tokens) != len(contacts):
+            raise DiagramError(
+                f"crossing count mismatch: diagram has {len(contacts)} crossings, "
+                f"over list has {len(over_tokens)}"
+            )
+        overs: List[int] = []
+        for (pt, br1, br2, _), token in zip(contacts, over_tokens):
+            named = [_over_token(ids, br1, br2, over) for over in (0, 1)]
+            if token in named:
+                overs.append(named.index(token))
+                continue
+            if br1[0] == br2[0]:
+                name = ids[br1[0]]
+                raise DiagramError(
+                    f"self-crossing of '{name}' at {fmt_point(pt)} needs token "
+                    f"'{name}+' or '{name}-', got '{token}'"
+                )
+            raise DiagramError(
+                f"over token '{token}' at {fmt_point(pt)} names neither "
+                f"'{named[0]}' nor '{named[1]}'"
+            )
+        self._build(board, polys, ids, contacts, overs)
 
     def _build(
         self,
@@ -194,48 +228,17 @@ class Diagram:
         polys: Sequence[Tuple[Point, ...]],
         ids: Sequence[str],
         contacts: Sequence[Contact],
-        over_tokens: Sequence[str],
+        overs: Sequence[int],
     ) -> None:
-        if len(over_tokens) != len(contacts):
-            raise DiagramError(
-                f"crossing count mismatch: diagram has {len(contacts)} crossings, "
-                f"over list has {len(over_tokens)}"
-            )
-        crossings: List[Crossing] = []
-        for (pt, br1, br2, left), token in zip(contacts, over_tokens):
-            crossings.append(
-                Crossing(pt, (br1, br2), self._over_from_token(ids, pt, br1, br2, token), left)
-            )
         self.board = board
         self.polylines: Tuple[Tuple[Point, ...], ...] = tuple(polys)
         self.ids: Tuple[str, ...] = tuple(ids)
-        self.crossings: Tuple[Crossing, ...] = tuple(crossings)
-        self.over_tokens: Tuple[str, ...] = tuple(over_tokens)
-
-    @staticmethod
-    def _over_from_token(
-        ids: Sequence[str], pt: Point, br1: Branch, br2: Branch, token: str
-    ) -> int:
-        if br1[0] == br2[0]:
-            name = ids[br1[0]]
-            if token not in (name + "+", name + "-"):
-                raise DiagramError(
-                    f"self-crossing of '{name}' at {fmt_point(pt)} needs token "
-                    f"'{name}+' or '{name}-', got '{token}'"
-                )
-            g1 = br1[1] + br1[2]
-            g2 = br2[1] + br2[2]
-            lower_first = g1 < g2
-            if token.endswith("-"):
-                return 0 if lower_first else 1
-            return 1 if lower_first else 0
-        if token == ids[br1[0]]:
-            return 0
-        if token == ids[br2[0]]:
-            return 1
-        raise DiagramError(
-            f"over token '{token}' at {fmt_point(pt)} names neither "
-            f"'{ids[br1[0]]}' nor '{ids[br2[0]]}'"
+        self.crossings: Tuple[Crossing, ...] = tuple(
+            Crossing(pt, (br1, br2), over, left)
+            for (pt, br1, br2, left), over in zip(contacts, overs)
+        )
+        self.over_tokens: Tuple[str, ...] = tuple(
+            _over_token(ids, br1, br2, over) for (_, br1, br2, _), over in zip(contacts, overs)
         )
 
     @classmethod
@@ -249,18 +252,9 @@ class Diagram:
         """Build a diagram choosing the over branch programmatically."""
         polys = [tuple(p) for p in polylines]
         contacts = find_crossings(board.n_holes, polys, ids)
-        tokens: List[str] = []
-        for pt, br1, br2, _ in contacts:
-            which = over_of(pt, br1, br2)
-            if br1[0] == br2[0]:
-                g_over = (br1 if which == 0 else br2)
-                g_other = (br2 if which == 0 else br1)
-                lower = g_over[1] + g_over[2] < g_other[1] + g_other[2]
-                tokens.append(ids[br1[0]] + ("-" if lower else "+"))
-            else:
-                tokens.append(ids[(br1 if which == 0 else br2)[0]])
+        overs = [over_of(pt, br1, br2) for pt, br1, br2, _ in contacts]
         d = cls.__new__(cls)
-        d._build(board, polys, ids, contacts, tokens)
+        d._build(board, polys, ids, contacts, overs)
         return d
 
     def __repr__(self) -> str:
@@ -419,10 +413,7 @@ def _smoothing_pairs(under_left: bool, base: int, ob: int):
 
 
 def _resolve_component(
-    d: Diagram,
-    polys: Sequence[int],
-    cross_ids: Sequence[int],
-    state_cap: int,
+    d: Diagram, polys: Sequence[int], cross_ids: Sequence[int]
 ) -> Dict[Multicurve, Laurent]:
     """State sum over one crossing-connected group of polylines.
 
@@ -439,10 +430,9 @@ def _resolve_component(
         return {(): MINUS_ALPHA}
 
     c = len(cross_ids)
-    if c > state_cap:
+    if c > STATE_CAP:
         raise ValueError(
-            f"crossing component has {c} crossings, exceeding the state cap "
-            f"{state_cap}"
+            f"crossing component has {c} crossings, exceeding the state cap {STATE_CAP}"
         )
     base = {k: 4 * j for j, k in enumerate(cross_ids)}
 
@@ -544,12 +534,12 @@ def _crossing_groups(d: Diagram) -> List[Tuple[List[int], List[int]]]:
     return [(polys, group_cross[g]) for g, polys in sorted(groups.items())]
 
 
-def resolve(d: Diagram, state_cap: int = DEFAULT_STATE_CAP) -> SkeinElement:
+def resolve(d: Diagram) -> SkeinElement:
     """Bracket state sum of a diagram, expanded in the multicurve basis."""
     # The state sum factors over the crossing-connected groups.
     total: Dict[Multicurve, Laurent] = {(): ONE}
     for polys, cross_ids in _crossing_groups(d):
-        part = _resolve_component(d, polys, cross_ids, state_cap)
+        part = _resolve_component(d, polys, cross_ids)
         merged: Dict[Multicurve, Laurent] = {}
         for m1, c1 in total.items():
             for m2, c2 in part.items():
@@ -763,24 +753,22 @@ def stacking_diagram(ma: Multicurve, mb: Multicurve, board: Board) -> Diagram:
 
 @lru_cache(maxsize=8192)
 def _basis_product(
-    n_holes: int, ma: Multicurve, mb: Multicurve, state_cap: int
+    n_holes: int, ma: Multicurve, mb: Multicurve
 ) -> Tuple[Tuple[Multicurve, Laurent], ...]:
     board = Board(n_holes)
     d = stacking_diagram(ma, mb, board)
-    result = resolve(d, state_cap)
+    result = resolve(d)
     return tuple(sorted(result.terms.items()))
 
 
-def multiply(
-    a: SkeinElement, b: SkeinElement, state_cap: int = DEFAULT_STATE_CAP
-) -> SkeinElement:
+def multiply(a: SkeinElement, b: SkeinElement) -> SkeinElement:
     """Stacking product: diagrams of `a` on top of diagrams of `b`."""
     a._check(b)
     out: Dict[Multicurve, Laurent] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             scale = ca * cb
-            for m, coeff in _basis_product(a.board.n_holes, ma, mb, state_cap):
+            for m, coeff in _basis_product(a.board.n_holes, ma, mb):
                 accumulate(out, m, scale * coeff)
     return SkeinElement(a.board, out)
 
@@ -798,7 +786,6 @@ class IdentityReport:
 def verify_skein_identity(
     lhs: Sequence[Tuple["Laurent | int", Diagram]],
     rhs: Sequence[Tuple["Laurent | int", Diagram]],
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> IdentityReport:
     """Resolve both sides and compare basis expansions."""
     boards = {d.board for _, d in lhs} | {d.board for _, d in rhs}
@@ -808,9 +795,9 @@ def verify_skein_identity(
     lhs_value = SkeinElement.zero(board)
     rhs_value = SkeinElement.zero(board)
     for coeff, d in lhs:
-        lhs_value = lhs_value + resolve(d, state_cap).scale(coeff)
+        lhs_value = lhs_value + resolve(d).scale(coeff)
     for coeff, d in rhs:
-        rhs_value = rhs_value + resolve(d, state_cap).scale(coeff)
+        rhs_value = rhs_value + resolve(d).scale(coeff)
     diff = lhs_value - rhs_value
     if diff.is_zero():
         return IdentityReport(True)

@@ -199,6 +199,8 @@ def test_bridge_representation_rejections():
         bridge_representation(1, 2, 1.4)
     with pytest.raises(ValueError, match="lowest terms"):
         bridge_representation(2, 4, 1.4)
+    with pytest.raises(ValueError, match=f"b <= {chvar.MAX_SLOPE_DENOMINATOR}"):
+        bridge_representation(1, chvar.MAX_SLOPE_DENOMINATOR + 1, 1.4)
 
 
 def _sample_b(rng, t):

@@ -38,6 +38,7 @@ def test_parse_config_defaults_and_overrides():
         ("t_samples = 25001", "t_samples x b_samples must be at most 1000000"),
         ("max_n = 0", "at least 1"),
         ("max_n = 97", "max_n must be at most 96"),
+        ("state_cap = 24", "unknown key 'state_cap'"),
     ],
 )
 def test_parse_config_errors(text, needle):
@@ -111,6 +112,24 @@ def test_skein_multiply_rejects_different_boards(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "ValueError: elements live on different boards"
+
+
+def test_skein_multiply_refuses_a_group_over_the_state_cap(tmp_path, capsys):
+    # The stacked product is one group of 40 crossings, refused before any
+    # of its states is visited.
+    paths = []
+    for name, m in (("a", ((1, 3),) * 4), ("b", ((1, 2),) * 4)):
+        path = tmp_path / f"{name}.diagram"
+        path.write_text(render_diagram(canonical_diagram(m, Board(3))), encoding="utf-8")
+        paths.append(str(path))
+    start = time.perf_counter()
+    assert main(["skein", "multiply", *paths]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "ValueError: crossing component has 40 crossings, exceeding the state cap 24"
+    )
 
 
 def test_skein_resolve_input_errors(tmp_path, capsys):
@@ -339,7 +358,13 @@ def test_chvar_scan_rejects_bad_tangles(capsys):
 
 @pytest.mark.parametrize(
     "slope,needle",
-    [("2/4", "lowest terms"), ("1/2", "b > 2"), ("1/0", "b > 2"), ("1/-3", "b > 2")],
+    [
+        ("2/4", "lowest terms"),
+        ("1/2", "b > 2"),
+        ("1/0", "b > 2"),
+        ("1/-3", "b > 2"),
+        (f"1/{chvar.MAX_SLOPE_DENOMINATOR + 2}", f"b <= {chvar.MAX_SLOPE_DENOMINATOR}"),
+    ],
 )
 def test_chvar_scan_rejects_bad_slopes_before_output(capsys, slope, needle):
     argv = ["chvar", "scan", "--tangles", f"{slope},1/3,1/3,1/3", "--t-samples", "1", "--b-samples", "32"]

@@ -32,8 +32,8 @@ from skeinlab.ncrewrite import collar_algebra
 from skeinlab.ring import Laurent
 from skeinlab import skein
 from skeinlab.skein import (
-    DEFAULT_STATE_CAP,
     MINUS_ALPHA,
+    STATE_CAP,
     Board,
     Diagram,
     DiagramError,
@@ -533,7 +533,7 @@ PRODUCTS_5H = Path(__file__).resolve().parent.parent / "perfbench" / "products_5
 def _assert_kernel_matches_reference(d):
     """Per group, the same multicurves with the same coefficient term maps."""
     got = [
-        skein._resolve_component(d, polys, cross_ids, DEFAULT_STATE_CAP)
+        skein._resolve_component(d, polys, cross_ids)
         for polys, cross_ids in skein._crossing_groups(d)
     ]
     want = reference_groups(d)
@@ -585,7 +585,7 @@ def test_state_kernel_keeps_the_laminar_check(monkeypatch):
     ((polys, cross_ids),) = skein._crossing_groups(d)
     monkeypatch.setattr(skein, "is_laminar", lambda comps: False)
     with pytest.raises(AssertionError, match="non-laminar family"):
-        skein._resolve_component(d, polys, cross_ids, DEFAULT_STATE_CAP)
+        skein._resolve_component(d, polys, cross_ids)
 
 
 def test_equal_coefficients_share_one_scalar():
@@ -607,9 +607,12 @@ def test_specialization_commutes_with_resolution():
 
 
 def test_state_cap_enforced():
-    d = r1_kinked(canonical_diagram([(1,)], Board(1)), 0, True)
-    with pytest.raises(ValueError, match="state cap"):
-        resolve(d, state_cap=0)
+    # The k=4 ladder is one group of 40 crossings: the cap refuses it
+    # before visiting any of its 2^40 states.
+    d = stacking_diagram(((1, 3),) * 4, ((1, 2),) * 4, Board(3))
+    assert len(d.crossings) == 40 > STATE_CAP
+    with pytest.raises(ValueError, match=f"has 40 crossings, exceeding the state cap {STATE_CAP}$"):
+        resolve(d)
 
 
 # ---------------------------------------------------------------------------
