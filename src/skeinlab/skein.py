@@ -14,12 +14,18 @@ from a memo keyed by packed winding, and the states are only counted
 per (multicurve, b-smoothings, empty loops); the Laurent scalars are
 built once per count, after the 2^c states.
 
+Canonical diagrams are laid out on ints too: each coordinate of a
+multicurve's bands is a whole numerator over one denominator that the
+sibling counts of its laminar forest fix in advance, and becomes a
+`Fraction` once, at the end.
+
 All geometry is exact (see :mod:`skeinlab.geom`); scalars live in the
 half-integer Laurent ring of :mod:`skeinlab.ring`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,9 +51,10 @@ Multicurve = Tuple[Component, ...]
 # Value of a null-homotopic loop: -(q + q^{-1}).
 MINUS_ALPHA = -Q_PLUS_QINV
 
-# Vertical clearance kept between curve profiles and the hole ordinate.
-_PIN = Fraction(5, 16)
-_HALF = Fraction(1, 2)
+# Layout constants, scaled to whole numerators by `_canonical_bands`: the
+# clearance kept beside the hole ordinate, the outer strip's half-height,
+# and where a profile steps between two columns.
+_PIN, _HALF, _Q38, _Q58 = Fraction(5, 16), Fraction(1, 2), Fraction(3, 8), Fraction(5, 8)
 
 # Most crossings in one crossing-connected group: `resolve` visits all 2^c
 # smoothings of a group, and a group at the cap is 2^24 states, minutes of
@@ -267,6 +274,21 @@ class Diagram:
 # ---------------------------------------------------------------------------
 # Diagram file format
 
+def _read_rational(text: str) -> Tuple[int, int]:
+    """Numerator and denominator of a coordinate in the README's grammar:
+    `00012/0004` reads (12, 4) and `-.5` reads (-5, 10)."""
+    body = text.strip()
+    sign = -1 if body[:1] == "-" else 1
+    num, slash, den = (body[1:] if body[:1] in ("-", "+") else body).partition("/")
+    whole, point, frac = num.partition(".")
+    if text.isascii() and (whole + frac).isdigit() and not (slash and point):
+        if not slash:
+            return sign * int(whole + frac), 10 ** len(frac)
+        if den.isdigit():
+            return sign * int(num), int(den)
+    raise ValueError(text)
+
+
 def parse_diagram(text: str) -> Diagram:
     """Parse the line-oriented diagram format (see README)."""
     board: Optional[Board] = None
@@ -274,6 +296,7 @@ def parse_diagram(text: str) -> Diagram:
     polylines: List[List[Point]] = []
     over: Optional[List[str]] = None
     curve_lines: Dict[str, int] = {}
+    values: Dict[str, Fraction] = {}  # each coordinate text is read once
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -309,9 +332,10 @@ def parse_diagram(text: str) -> Diagram:
                 if len(parts) != 2:
                     raise DiagramError(f"line {ln}: bad coordinate '({inner})'")
                 try:
-                    if "e" in inner or "E" in inner:  # Fraction expands exponents
-                        raise ValueError(inner)
-                    pts.append((Fraction(parts[0].strip()), Fraction(parts[1].strip())))
+                    for part in parts:
+                        if part not in values:
+                            values[part] = Fraction(*_read_rational(part))
+                    pts.append((values[parts[0]], values[parts[1]]))
                 except (ValueError, ZeroDivisionError):
                     raise DiagramError(
                         f"line {ln}: bad rational in '({inner})'"
@@ -556,45 +580,28 @@ def resolve(d: Diagram) -> SkeinElement:
 
 
 class _Node:
-    __slots__ = ("holes", "hole_set", "kids", "sigma", "ext", "profile")
+    __slots__ = ("holes", "hole_set", "kids", "sigma", "profile", "span")
 
     def __init__(self, holes: Component, copy_index: int):
         self.holes = holes
         self.hole_set = frozenset(holes)
         self.kids: List["_Node"] = []
         self.sigma = (holes[0], holes[-1], len(holes), holes, copy_index)
-        self.ext = Fraction(0)
-        self.profile: Dict[int, Tuple[Fraction, Fraction]] = {}
-
-    @property
-    def span(self) -> Tuple[int, int]:
-        return (self.holes[0], self.holes[-1])
+        self.profile: Dict[int, Tuple[int, int]] = {}
+        self.span = (holes[0], holes[-1])
 
 
 def _laminar_forest(components: Multicurve) -> List[_Node]:
-    counts: Dict[Component, int] = {}
-    for comp in components:
-        counts[comp] = counts.get(comp, 0) + 1
-    distinct = sorted(counts)
-    chains: Dict[Component, List[_Node]] = {}
-    for comp in distinct:
-        chain = [_Node(comp, i) for i in range(counts[comp])]
+    """Copies of a component nest in a chain; each chain hangs inside the
+    innermost copy of its smallest strict superset, the first in order."""
+    distinct = sorted(set(components))
+    chains = {c: [_Node(c, i) for i in range(components.count(c))] for c in distinct}
+    roots: List[_Node] = []
+    for comp, chain in chains.items():
         for outer, inner in zip(chain, chain[1:]):
             outer.kids.append(inner)
-        chains[comp] = chain
-    roots: List[_Node] = []
-    for comp in distinct:
-        comp_set = set(comp)
-        best: Optional[Component] = None
-        for other in distinct:
-            if other == comp:
-                continue
-            if comp_set < set(other) and (best is None or len(other) < len(best)):
-                best = other
-        if best is None:
-            roots.append(chains[comp][0])
-        else:
-            chains[best][-1].kids.append(chains[comp][0])
+        best = min((o for o in distinct if set(comp) < set(o)), key=len, default=None)
+        (roots if best is None else chains[best][-1].kids).append(chain[0])
     for chain in chains.values():
         for node in chain:
             node.kids.sort(key=lambda k: k.sigma)
@@ -602,63 +609,66 @@ def _laminar_forest(components: Multicurve) -> List[_Node]:
     return roots
 
 
-def _place_kids(
-    kids: List[_Node], s: int, lo: Fraction, hi: Fraction, owner_pins: bool
-) -> None:
+def _exact(num: int, div: int) -> int:
+    """num / div, which the layout's denominator makes whole."""
+    q, r = divmod(num, div)
+    if r:
+        raise AssertionError(f"layout value {num}/{div} is not whole")
+    return q
+
+
+def _place_kids(kids: List[_Node], s: int, lo: int, hi: int, pin: Optional[int]) -> None:
+    """Profiles at column `s` of the `kids` inside the band (lo, hi); a
+    `pin` keeps all but the kid enclosing hole `s` off (-pin, pin)."""
     present = [k for k in kids if k.span[0] <= s <= k.span[1]]
     if not present:
         return
-    if owner_pins:
+    if pin is not None:
         central = next((k for k in present if s in k.hole_set), None)
-        if central is None:
-            below, above = present, []
-        else:
-            below = [k for k in present if k is not central and k.sigma < central.sigma]
-            above = [k for k in present if k is not central and k.sigma > central.sigma]
-        db = (-_PIN - lo) / (len(below) + 1)
-        da = (hi - _PIN) / (len(above) + 1)
+        below = [k for k in present if central is None or k.sigma < central.sigma]
+        above = [k for k in present if central is not None and k.sigma > central.sigma]
+        qb = _exact(-pin - lo, 4 * (len(below) + 1))
+        qa = _exact(hi - pin, 4 * (len(above) + 1))
         for j, kid in enumerate(below):
-            _assign(kid, s, lo + j * db + db / 4, lo + (j + 1) * db - db / 4)
+            _assign(kid, s, lo + (4 * j + 1) * qb, lo + (4 * j + 3) * qb, pin)
         for j, kid in enumerate(above):
-            _assign(
-                kid,
-                s,
-                _PIN + (1 + j) * da + da / 4,
-                _PIN + (2 + j) * da - da / 4,
-            )
+            _assign(kid, s, pin + (4 * j + 5) * qa, pin + (4 * j + 7) * qa, pin)
         if central is not None:
-            _assign(central, s, -_PIN - 3 * db / 4, _PIN + 3 * da / 4)
+            _assign(central, s, -pin - 3 * qb, pin + 3 * qa, pin)
     else:
-        step = (hi - lo) / (len(present) + 1)
+        q = _exact(hi - lo, 4 * (len(present) + 1))
         for j, kid in enumerate(present):
-            _assign(kid, s, lo + j * step + step / 4, lo + (j + 1) * step - step / 4)
+            _assign(kid, s, lo + (4 * j + 1) * q, lo + (4 * j + 3) * q, None)
 
 
-def _assign(node: _Node, s: int, lo: Fraction, hi: Fraction) -> None:
+def _assign(node: _Node, s: int, lo: int, hi: int, pin: Optional[int]) -> None:
     node.profile[s] = (lo, hi)
-    _place_kids(node.kids, s, lo, hi, owner_pins=(s in node.hole_set))
+    _place_kids(node.kids, s, lo, hi, pin if s in node.hole_set else None)
 
 
-def _node_polyline(node: _Node) -> List[Point]:
+def _node_polyline(node: _Node, den: int, ext: int, q38: int, q58: int) -> List[Tuple[int, int]]:
+    """The band of `node`, its caps `ext` beyond its end holes' centres."""
     s0, s1 = node.span
-    x_left = Fraction(s0) - HOLE_RADIUS - node.ext
-    x_right = Fraction(s1) + HOLE_RADIUS + node.ext
-    lo = {s: node.profile[s][0] for s in range(s0, s1 + 1)}
-    hi = {s: node.profile[s][1] for s in range(s0, s1 + 1)}
-    q38, q58 = Fraction(3, 8), Fraction(5, 8)
-    pts: List[Point] = [(x_left, lo[s0])]
-    for s in range(s0, s1):
-        if lo[s] != lo[s + 1]:
-            pts.append((s + q38, lo[s]))
-            pts.append((s + q58, lo[s + 1]))
-    pts.append((x_right, lo[s1]))
-    pts.append((x_right, hi[s1]))
-    for s in range(s1 - 1, s0 - 1, -1):
-        if hi[s] != hi[s + 1]:
-            pts.append((s + q58, hi[s + 1]))
-            pts.append((s + q38, hi[s]))
-    pts.append((x_left, hi[s0]))
-    return pts
+    lo, hi = zip(*(node.profile[s] for s in range(s0, s1 + 1)))
+    x_left, x_right = s0 * den - ext, s1 * den + ext
+
+    def steps(ys: Sequence[int]) -> List[Tuple[int, int]]:
+        # where a profile moves between two columns, left to right
+        out: List[Tuple[int, int]] = []
+        for i, x in enumerate(range(s0 * den, s1 * den, den)):
+            if ys[i] != ys[i + 1]:
+                out += [(x + q38, ys[i]), (x + q58, ys[i + 1])]
+        return out
+
+    ends = [(x_right, lo[-1]), (x_right, hi[-1])]
+    return [(x_left, lo[0]), *steps(lo), *ends, *steps(hi)[::-1], (x_left, hi[0])]
+
+
+def _layout_den(nodes: List[_Node]) -> int:
+    """What a strip shared by `nodes` must be a multiple of: `_place_kids`
+    cuts it into 4(k + 1) parts, k <= len(nodes), each cut again by kids."""
+    kids = [_layout_den(node.kids) for node in nodes]
+    return 4 * math.lcm(*range(2, len(nodes) + 2)) * math.lcm(*kids) if nodes else 1
 
 
 def _canonical_bands(m: Iterable[Iterable[int]], board: Board) -> List[List[Point]]:
@@ -670,20 +680,22 @@ def _canonical_bands(m: Iterable[Iterable[int]], board: Board) -> List[List[Poin
     or passes entirely below/above it; nesting follows the laminar
     forest, and a fixed per-sibling order keeps the bands disjoint.
     """
-    mc = canonical_multicurve(m, board)
-    roots = _laminar_forest(mc)
-    order: List[_Node] = []
-    queue = list(roots)
-    while queue:
-        node = queue.pop(0)
-        order.append(node)
-        queue.extend(node.kids)
+    roots = _laminar_forest(canonical_multicurve(m, board))
+    order = list(roots)
+    for node in order:  # breadth first, as the loop reads what it appends
+        order.extend(node.kids)
     total = len(order)
-    for k, node in enumerate(order):
-        node.ext = Fraction(total - k, 8 * (total + 1))
+    # The roots share gaps of 3/16 beside the pin, the caps step by
+    # 1/(8(total + 1)), and 16 clears every constant's denominator.
+    den = math.lcm(16 * _layout_den(roots), 8 * (total + 1))
+    consts = (_PIN, _HALF, HOLE_RADIUS, _Q38, _Q58, Fraction(1, 8 * (total + 1)))
+    pin, half, radius, q38, q58, cap = (_exact(den * c.numerator, c.denominator) for c in consts)
     for s in range(1, board.n_holes + 1):
-        _place_kids(roots, s, -_HALF, _HALF, owner_pins=True)
-    return [_node_polyline(node) for node in order]
+        _place_kids(roots, s, -half, half, pin)
+    exts = [radius + (total - k) * cap for k in range(total)]
+    polys = [_node_polyline(node, den, ext, q38, q58) for node, ext in zip(order, exts)]
+    frac = {v: Fraction(v, den) for v in {v for poly in polys for p in poly for v in p}}
+    return [[(frac[x], frac[y]) for x, y in poly] for poly in polys]
 
 
 def canonical_diagram(m: Iterable[Iterable[int]], board: Board) -> Diagram:

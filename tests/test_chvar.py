@@ -376,6 +376,30 @@ def test_bridge_roots_match_numpy(slope, monkeypatch):
         assert all(abs(g - w) < 1e-9 for g, w in zip(got, want)), t
 
 
+def test_bridge_mirror_slopes_solve_at_the_default_scan_traces():
+    # the controls of the two pins below
+    ts = _cli_t_values([0])
+    assert all(bridge_representation(1, 4, t) for t in ts)
+    assert bridge_representation(1, 31, ts[0])
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="known defect: 3/4 finds no root")
+def test_bridge_slope_3_4_solves_at_the_default_scan_traces():
+    # Pinned: at all 8 traces `chvar scan` samples at seed 0, 3/4 raises
+    # "no irreducible solution" while its mirror 1/4 solves at each.
+    for t in _cli_t_values([0]):
+        assert bridge_representation(3, 4, t)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="known defect: 2/31 finds no root")
+def test_bridge_slope_2_31_solves_at_the_first_default_scan_trace():
+    # Pinned: at t0 ~ -1.773002, the first trace `chvar scan` samples at
+    # seed 0, 2/31 raises "no irreducible solution" while 1/31 solves.
+    (t0, *_) = _cli_t_values([0])
+    assert abs(t0 + 1.773002) < 1e-6
+    assert bridge_representation(2, 31, t0)
+
+
 def test_bridge_root_order_survives_rounding(monkeypatch):
     # For real t the relator's coefficients are real, so its complex roots
     # come in conjugate pairs whose real parts agree only up to rounding.

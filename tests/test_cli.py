@@ -155,6 +155,16 @@ def test_skein_resolve_rejects_exponent_coordinates(x, tmp_path, capsys):
     assert "line 2: bad rational" in err
 
 
+@pytest.mark.parametrize("x", ["1_0", "\u0661\u0662"])
+def test_skein_resolve_rejects_coordinates_outside_the_grammar(x, tmp_path, capsys):
+    # Python 3.11's Fraction reads both (as 10 and 12); the grammar does not
+    path = tmp_path / "u.diagram"
+    path.write_text(f"board holes=1\ncurve a : ({x},3) (2,3) (2,4)\nover :\n", encoding="utf-8")
+    assert main(["skein", "resolve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "line 2: bad rational" in err
+
+
 def test_skein_resolve_bounds_hole_count(tmp_path, capsys):
     path = tmp_path / "h.diagram"
     path.write_text("board holes=65\n" + _SQUARE.format(x="1/2"), encoding="utf-8")

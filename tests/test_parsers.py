@@ -8,14 +8,17 @@ with and without crossings, and the emitted manifest.
 """
 
 import re
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skeinlab.fixtures import FixtureSpec, ManifestError, _manifest_text, parse_manifest
 from skeinlab.skein import (
     Board,
     Diagram,
     DiagramError,
+    _read_rational,
     canonical_diagram,
     parse_diagram,
     render_diagram,
@@ -131,3 +134,53 @@ def test_parse_manifest_arbitrary_text(text):
 @given(text=_edited(_MANIFESTS))
 def test_parse_manifest_random_edits(text):
     _check_manifest(text)
+
+
+# Coordinates: the reader's grammar is Python 3.11's `Fraction(text)` on
+# ASCII text without an exponent or an underscore.  Python 3.12's Fraction
+# also accepts whitespace beside '/', so the parity texts leave it out.
+_COORD_PIECES = ("", "-", "+", "0", "00", "1", "7", "12", "0004", ".", "/", " ", "\t")
+
+
+def _reader_value(text):
+    try:
+        return Fraction(*_read_rational(text))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _fraction_value(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.lists(st.sampled_from(_COORD_PIECES), max_size=6).map("".join)
+    | st.text(alphabet="0123456789+-./ \t\x1fxd", max_size=8)
+)
+@example("00012/0004")
+@example(".5")
+@example("-.5")
+@example("1.")
+@example(" +3 ")
+def test_coordinate_reader_matches_fraction(text):
+    if re.search(r"\s/|/\s", text):
+        return
+    assert _reader_value(text) == _fraction_value(text), repr(text)
+
+
+def test_coordinate_reader_keeps_the_written_denominator():
+    assert _read_rational("00012/0004") == (12, 4)
+    assert _read_rational("-.5") == (-5, 10)
+
+
+@pytest.mark.parametrize(
+    "x", ["1_0", "\u0661\u0662", "1e3", "1E3", "1 /2", "1/ 2", "- 1", "1/-2", ".", "1.5/2"]
+)
+def test_parse_diagram_rejects_coordinates_outside_the_grammar(x):
+    text = "board holes=1\ncurve a : (" + x + ",3) (2,3) (2,4)\nover :\n"
+    with pytest.raises(DiagramError, match=re.escape(f"line 2: bad rational in '({x},3)'")):
+        parse_diagram(text)

@@ -1,5 +1,6 @@
 """Tests for boards, diagrams, the bracket state sum, and stacking products."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from oracles import (
     spans_interleave,
     winding_contribution,
 )
+from layout_reference import reference_bands
 from state_sum_reference import reference_groups
 from skeinlab.geom import arc_winding, find_crossings, loop_winding, ray_events
 from skeinlab.ncrewrite import collar_algebra
@@ -634,11 +636,18 @@ def test_layered_diagram_roundtrip_exhaustive_small():
 
 
 def test_layered_diagram_roundtrip_exhaustive_five_holes():
+    # The integer layout equals the Fraction reference, coordinate by
+    # coordinate, and renders to the md5 measured on the Fraction layout.
     board = Board(5)
+    digest = hashlib.md5()
     for m in all_laminar_multisets(5, 4):
         d = canonical_diagram(m, board)
         assert not d.crossings and not _searched_crossings(d), m
         assert resolve(d) == SkeinElement.basis(board, m), m
+        assert d.polylines == tuple(reference_bands(m, board)), m
+        assert all(type(c) is F for poly in d.polylines for p in poly for c in p), m
+        digest.update(render_diagram(d).encode())
+    assert digest.hexdigest() == "21859b4482cdf352016a5d4b7b98b110"
 
 
 def _random_laminar(rng, n_holes, n_comps):
@@ -662,6 +671,35 @@ def test_canonical_bands_of_many_components_do_not_cross(n_holes):
             d = canonical_diagram(m, board)
             assert _searched_crossings(d) == [], m
             assert len(d.polylines) == n_comps and not d.crossings
+
+
+@st.composite
+def _deep_laminar(draw, n_holes=7, max_comps=8):
+    """Laminar multicurves, mostly nested: each new component is drawn
+    inside an earlier one or anywhere on the board, and kept if laminar."""
+    comps = []
+    for _ in range(draw(st.integers(1, max_comps))):
+        if comps and draw(st.booleans()):
+            outer = draw(st.sampled_from(comps))
+            comp = draw(st.sets(st.sampled_from(outer), min_size=1))
+        else:
+            comp = draw(st.sets(st.integers(1, n_holes), min_size=1))
+        comp = tuple(sorted(comp))
+        if is_laminar(comps + [comp]):
+            comps.append(comp)
+    return tuple(sorted(comps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_deep_laminar())
+@example(m=((4,),) * 8)
+@example(m=tuple((h,) for h in range(1, 8)) + ((1, 2, 3, 4, 5, 6, 7),))
+@example(m=((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6), (2, 3, 4, 5, 6), (2, 3, 4, 5),
+            (3, 4, 5), (3, 4), (4,), (4,)))
+def test_integer_layout_matches_fraction_reference_deep(m):
+    # deeper nesting than the 4-component exhaustive test reaches
+    board = Board(7)
+    assert [tuple(p) for p in skein._canonical_bands(m, board)] == reference_bands(m, board)
 
 
 def test_interleaved_components_stay_disjoint():
