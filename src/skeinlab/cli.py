@@ -80,8 +80,8 @@ _MAX_B_SAMPLES = 100_000
 _MAX_GRID_POINTS = 1_000_000
 # Largest degree for `cheby verify --max-n`, `ncverify --max-n` and the
 # config's `max_n`.  The rewriting checks cost the most and grow about as
-# n^3: at 96, `ncverify` takes about 25 s and 97 MB, `verify all` 26 s and
-# 90 MB.
+# n^3: at 96, `ncverify` takes about 8 s of CPU and 98 MB, `verify all` 8 s
+# and 90 MB.
 _MAX_DEGREE = 96
 
 
@@ -190,8 +190,10 @@ def _ncrewrite_checks(max_n: int) -> _Checks:
         return "FAIL", f"first failure at n={report.first_failure}"
 
     def commute_many() -> Tuple[str, str]:
+        # Route b's suffixes, shared by every degree and freed on return.
+        memo: ncrewrite.SuffixMemo = {}
         for n in range(1, max_n + 1):
-            result = ncrewrite.verify_commute_many(n)
+            result = ncrewrite.verify_commute_many(n, memo=memo)
             if not result.ok:
                 return "FAIL", f"n={n}: {result.residual}"
         return "PASS", f"n <= {max_n}, both routes"
@@ -461,14 +463,15 @@ def _cmd_cheby(args: argparse.Namespace) -> int:
 def _cmd_ncverify(args: argparse.Namespace) -> int:
     _check_degree(args.max_n, 1, "--max-n")
     failed = False
+    memo: ncrewrite.SuffixMemo = {}  # route b's suffixes, for every degree
     for n in range(1, args.max_n + 1):
-        result = ncrewrite.verify_commute_many(n, route=args.route)
+        result = ncrewrite.verify_commute_many(n, route=args.route, memo=memo)
         commute = "PASS" if result.ok else "FAIL"
         derivation = ncrewrite.derive_e_n(n)
         e_n = "PASS" if derivation.ok else "FAIL"
         failed = failed or not (result.ok and derivation.ok)
         print(f"n={n} commute_many={commute} e_n={e_n}")
-    mutated = ncrewrite.verify_commute_many(2, route=args.route, mutate=True)
+    mutated = ncrewrite.verify_commute_many(2, route=args.route, mutate=True, memo=memo)
     caught = not mutated.ok and mutated.residual is not None
     failed = failed or not caught
     print(f"mutation_detected={'PASS' if caught else 'FAIL'}")

@@ -50,6 +50,8 @@ from .ring import (
 )
 
 Word = Tuple[int, ...]
+# Suffix -> its normal form, for one presentation.
+SuffixMemo = Dict[Word, Dict[Word, Laurent]]
 
 
 def _word_key(word: Word) -> Tuple[int, Word]:
@@ -111,7 +113,7 @@ class NcAlgebraSpec:
     # -- normalization ------------------------------------------------------
 
     def normal_form_word(
-        self, word: Word, memo: Optional[Dict[Word, Dict[Word, Laurent]]] = None
+        self, word: Word, memo: Optional[SuffixMemo] = None
     ) -> Dict[Word, Laurent]:
         """Normal form of a single word, as g times the normal form of the
         rest, built letter by letter from the right.
@@ -194,9 +196,12 @@ class NcElement(Combination):
                 accumulate(out, w1 + w2, c1 * c2)
         return NcElement(self.spec, out)
 
-    def normalize(self) -> "NcElement":
+    def normalize(self, memo: Optional[SuffixMemo] = None) -> "NcElement":
+        """Normal form.  ``memo`` maps suffixes to their normal forms, as
+        in `NcAlgebraSpec.normal_form_word`; pass one dict to share them
+        between calls on the same presentation."""
         out: Dict[Word, Laurent] = {}
-        memo: Dict[Word, Dict[Word, Laurent]] = {}
+        memo = {} if memo is None else memo
         for word, coeff in self.terms.items():
             for w, c in self.spec.normal_form_word(word, memo).items():
                 accumulate(out, w, coeff * c)
@@ -393,12 +398,14 @@ def _route_b_input(n: int, band: Laurent) -> NcElement:
 
 
 def verify_commute_many(
-    n: int, route: str = "both", mutate: bool = False
+    n: int, route: str = "both", mutate: bool = False, memo: Optional[SuffixMemo] = None
 ) -> CommuteManyResult:
     """Verify that the n-th cosine-kind element commutes with the crossing
     generator, along route a (commutative form) and/or route b (word
     rewriting).  With mutate=True the band coefficient is corrupted and the
-    result reports the first surviving monomial."""
+    result reports the first surviving monomial.  ``memo`` is route b's
+    suffix memo (see `NcElement.normalize`); one dict shared over degrees
+    builds each lower degree's suffixes once."""
     if route not in ("a", "b", "both"):
         raise ValueError(f"unknown route {route!r}")
     if n < 1:
@@ -415,7 +422,7 @@ def verify_commute_many(
             names = [f"{v}^{e}" for v, e in zip(res_a.vars, mono) if e]
             residual = f"route a: ({coeff.render()})*{'*'.join(names) or '1'}"
     if route in ("b", "both"):
-        res_b = _route_b_input(n, band).normalize()
+        res_b = _route_b_input(n, band).normalize(memo)
         b_ok = res_b.is_zero()
         if not b_ok and residual is None:
             word, coeff = res_b.leading()

@@ -125,6 +125,13 @@ class Laurent:
         if not isinstance(other, (Laurent, int)):
             return NotImplemented
         other = _as_laurent(other)
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # No two products share an exponent, and none is zero.
+            return Laurent._of({
+                e1 + e2: c1 * c2
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            })
         out: Dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

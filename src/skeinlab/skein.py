@@ -7,12 +7,14 @@ encloses, producing an element of the free module on laminar multicurves.
 `multiply` stacks diagrams (first factor on top) and resolves.
 
 The state sum runs on ints.  A group of c crossings has 4c numbered
-ports and 2c arcs, and each arc's winding vector is packed into one int,
-so a state costs c pairings written into one reused `partner` list and
-one walk over the 2c arcs, adding one int per arc.  Loop hole sets come
-from a memo keyed by packed winding, and the states are only counted
-per (multicurve, b-smoothings, empty loops); the Laurent scalars are
-built once per count, after the 2^c states.
+ports and 2c arcs, and each arc's winding vector is packed into one int.
+The 2^c states are visited in reflected Gray order, so a state costs one
+crossing's pairings rewritten in one reused `partner` list and one walk
+over the 2c arcs, adding one int per arc.  A memo keyed by packed winding
+gives each loop's hole set, and each state is counted under one int key:
+its number of b-smoothings, plus one digit per hole set counting its
+loops around that set.  The Laurent scalars are built once per key,
+after the 2^c states.
 
 Canonical diagrams are laid out on ints too: each coordinate of a
 multicurve's bands is a whole numerator over one denominator that the
@@ -495,43 +497,56 @@ def _resolve_component(
         ob = crossing.over_branch
         pairings.append(_smoothing_pairs(crossing.left == (ob == 0), base[k], ob))
 
-    classes: Dict[int, Component] = {}  # packed loop winding -> hole set
-    tally: Dict[Tuple[Multicurve, int, int], int] = {}
+    # A state's tally key is one int: its b-count in the lowest digit,
+    # then one digit per hole set counting the state's loops around it.
+    bits = (2 * c).bit_length()  # a state has at most 2c loops
+    unit_of_set: Dict[Component, int] = {}  # hole set -> 1 in its digit
+    unit_of: Dict[int, int] = {}  # packed loop winding -> its hole set's unit
+    tally: Dict[int, int] = {}
     partner = [0] * (4 * c)
-    for state in range(1 << c):
-        for bit, (a_pairs, b_pairs) in enumerate(pairings):
-            p, q, r, s = b_pairs if (state >> bit) & 1 else a_pairs
+    for (p, q, r, s), _ in pairings:
+        partner[p], partner[q], partner[r], partner[s] = q, p, s, r
+    b_count = 0
+    seen = [-1] * len(starts)  # seen[arc] == i: arc walked in state i
+    # Reflected Gray order: state i differs from state i - 1 only in the
+    # smoothing of crossing j, the lowest set bit of i, and bit j of
+    # i ^ (i >> 1) is that crossing's new smoothing (1: b).
+    for i in range(1 << c):
+        if i:
+            j = (i & -i).bit_length() - 1
+            smoothing = (i ^ (i >> 1)) >> j & 1
+            p, q, r, s = pairings[j][smoothing]
             partner[p], partner[q], partner[r], partner[s] = q, p, s, r
-        visited = [False] * len(starts)
-        comps: List[Component] = []
-        empties = 0
+            b_count += 2 * smoothing - 1
+        key = b_count
         for a0, entry in enumerate(starts):
-            if visited[a0]:
+            if seen[a0] == i:
                 continue
             w = 0
             port = entry
             while True:
-                visited[arc_of[port]] = True
+                seen[arc_of[port]] = i
                 w += step[port]
                 port = partner[other_end[port]]
                 if port == entry:
                     break
-            comp = classes.get(w)
-            if comp is None:
-                comp = classes[w] = _classify_windings(_unpack(w, n_holes, width))
-            if comp:
-                comps.append(comp)
-            else:
-                empties += 1
-        key = (tuple(sorted(comps)), state.bit_count(), empties)
+            unit = unit_of.get(w)
+            if unit is None:
+                comp = _classify_windings(_unpack(w, n_holes, width))
+                unit = unit_of_set.setdefault(comp, 1 << bits * (len(unit_of_set) + 1))
+                unit_of[w] = unit
+            key += unit
         tally[key] = tally.get(key, 0) + 1
 
-    for m in dict.fromkeys(m for m, _, _ in tally):
+    mask = (1 << bits) - 1
+    out: Dict[Multicurve, Laurent] = {}
+    for key, count in tally.items():
+        loops = [hs for hs, unit in unit_of_set.items() for _ in range(key // unit & mask)]
+        m = tuple(sorted(hs for hs in loops if hs))
         if not is_laminar(m):
             raise AssertionError(f"state produced non-laminar family {m}")
-    out: Dict[Multicurve, Laurent] = {}
-    for (m, b_count, empties), count in tally.items():
-        accumulate(out, m, Laurent.h_power(c - 2 * b_count, count) * MINUS_ALPHA ** empties)
+        scalar = Laurent.h_power(c - 2 * (key & mask), count) * MINUS_ALPHA ** (len(loops) - len(m))
+        accumulate(out, m, scalar)
     return out
 
 

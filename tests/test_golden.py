@@ -34,6 +34,7 @@ CASES = [
     ("ncverify_12_a.txt", ["ncverify", "--max-n", "12", "--route", "a"]),
     ("ncverify_12_b.txt", ["ncverify", "--max-n", "12", "--route", "b"]),
     ("ncverify_12_both.txt", ["ncverify", "--max-n", "12", "--route", "both"]),
+    ("ncverify_32_both.txt", ["ncverify", "--max-n", "32"]),
     ("resolve_ab3.txt", ["skein", "resolve", str(GOLDEN / "ab3.diagram")]),
     ("multiply_a3_b3.txt", ["skein", "multiply", str(GOLDEN / "a3.diagram"), str(GOLDEN / "b3.diagram")]),
     ("resolve_kink3.txt", ["skein", "resolve", str(GOLDEN / "kink3.diagram")]),

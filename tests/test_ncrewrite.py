@@ -181,6 +181,21 @@ def test_route_b_retains_bounded_memory() -> None:
     assert retained < 500_000, f"route b at n=24 retains {retained / 1e6:.2f} MB"
 
 
+def test_shared_suffix_memo_gives_fresh_normal_forms() -> None:
+    # One memo over every degree, plain and mutated, as `ncverify` shares
+    # it: each normal form equals a fresh-memo one, term order included.
+    memo = {}
+    for mutate in (False, True):
+        for n in range(1, 17):
+            element = _route_b_input(n, _band_coefficient(n, mutate))
+            shared = element.normalize(memo)
+            fresh = element.normalize()
+            assert [(w, list(c.terms.items())) for w, c in shared.terms.items()] == [
+                (w, list(c.terms.items())) for w, c in fresh.terms.items()
+            ], (n, mutate)
+            assert shared.is_zero() != mutate
+
+
 def test_normalize_idempotent_and_multiplicative() -> None:
     rng = random.Random(13)
     spec = collar_algebra()

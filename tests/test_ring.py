@@ -1,6 +1,7 @@
 """Tests for the exact scalar ring and the polynomial layer."""
 
 import random
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,6 +262,27 @@ def test_laurent_one_term_product_keeps_term_order(a: Laurent, m: Laurent) -> No
     shifted = [(e + em, c * cm) for e, c in a.terms.items()]
     assert list((a * m).terms.items()) == shifted
     assert list((m * a).terms.items()) == shifted
+
+
+def double_loop_product(a: Laurent, b: Laurent) -> Dict[int, int]:
+    """Term map of a * b by the general double loop, zero sums dropped."""
+    out: Dict[int, int] = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            nc = out.get(e1 + e2, 0) + c1 * c2
+            if nc:
+                out[e1 + e2] = nc
+            else:
+                out.pop(e1 + e2, None)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomials | scalars, monomials | scalars)
+def test_laurent_product_matches_the_double_loop(a: Laurent, b: Laurent) -> None:
+    # One-term factors take a one-comprehension path; term order included.
+    assert list((a * b).terms.items()) == list(double_loop_product(a, b).items())
+    assert_laurent_clean(a * b)
 
 
 @settings(max_examples=80, deadline=None)
