@@ -6,3 +6,7 @@ SL(2, C) character-variety numerics.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """Bad config, diagram or manifest input: the CLI prints it and exits 2."""

@@ -12,6 +12,8 @@ Subcommands:
 
 Exit codes: 0 when everything passed (SKIPPED allowed), 1 when any check
 failed, 2 for configuration or input errors.
+
+Each command imports only the layers it runs; `verify all` imports them all.
 """
 
 from __future__ import annotations
@@ -22,33 +24,15 @@ import math
 import os
 import random
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import cheby, ncrewrite
-from .fixtures import (
-    CheckResult,
-    ManifestError,
-    emit_fixture_templates,
-    run_check,
-    shipped_diagram,
-    verify_fixture_dir,
-)
+from . import InputError
 from .ring import m2_adj, m2_det, m2_mul, m2_trace
-from .skein import (
-    Board,
-    DiagramError,
-    SkeinElement,
-    canonical_diagram,
-    epsilon_of_element,
-    is_laminar,
-    multiply,
-    parse_diagram,
-    resolve,
-    verify_skein_identity,
-)
+
+if TYPE_CHECKING:
+    from .fixtures import CheckResult
 
 __all__ = [
     "ConfigError",
@@ -58,7 +42,7 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Configuration file or parameter problem; maps to exit code 2."""
 
 
@@ -85,18 +69,15 @@ _MAX_GRID_POINTS = 1_000_000
 _MAX_DEGREE = 96
 
 
-def _check_degree(max_n: int, least: int, name: str) -> None:
-    if max_n < least:
+def _check_range(value: int, least: int, most: int, name: str) -> None:
+    if value < least:
         raise ConfigError(f"{name} must be at least {least}")
-    if max_n > _MAX_DEGREE:
-        raise ConfigError(f"{name} must be at most {_MAX_DEGREE}")
+    if value > most:
+        raise ConfigError(f"{name} must be at most {most}")
 
 
 def _check_grid(t_samples: int, b_samples: int, where: str, t_name: str, b_name: str) -> None:
-    if b_samples < _MIN_B_SAMPLES:
-        raise ConfigError(f"{where}{b_name} must be at least {_MIN_B_SAMPLES}")
-    if b_samples > _MAX_B_SAMPLES:
-        raise ConfigError(f"{where}{b_name} must be at most {_MAX_B_SAMPLES}")
+    _check_range(b_samples, _MIN_B_SAMPLES, _MAX_B_SAMPLES, f"{where}{b_name}")
     if t_samples < 1:
         raise ConfigError(f"{where}{t_name} must be at least 1")
     if t_samples * b_samples > _MAX_GRID_POINTS:
@@ -126,7 +107,7 @@ def parse_config(text: str, source: str = "config") -> Dict[str, Union[int, str]
                 ) from None
         else:
             values[key] = value
-    _check_degree(int(values["max_n"]), 1, f"{source}: max_n")
+    _check_range(int(values["max_n"]), 1, _MAX_DEGREE, f"{source}: max_n")
     _check_grid(
         int(values["t_samples"]), int(values["b_samples"]), f"{source}: ", "t_samples", "b_samples"
     )
@@ -150,21 +131,7 @@ def _report(results: Sequence[CheckResult], include_timings: bool = False) -> in
 
 
 # ---------------------------------------------------------------------------
-# Suites
-
-
-# The Chebyshev identities, each as (name, whether it holds at degree n).
-_CHEBY_IDENTITIES: List[Tuple[str, Callable[[int], bool]]] = [
-    ("qdiff_closed_form", lambda n: cheby.qdiff_sine_sum(n) == cheby.qdiff_sine_sum_closed(n)),
-    (
-        "cosine_from_sines",
-        lambda n: cheby.cheb_cosine(n) == cheby.cheb_sine(n + 1) - cheby.cheb_sine(n - 1),
-    ),
-    (
-        "sine_cosine_product",
-        lambda n: cheby.cheb_sine(n) * cheby.cheb_cosine(n) == cheby.cheb_sine(2 * n),
-    ),
-]
+# Suites.  Each builder imports its layer before `run_check` times an item.
 
 
 def _first_failure(holds: Callable[[int], bool], max_n: int) -> Tuple[str, str]:
@@ -175,14 +142,30 @@ def _first_failure(holds: Callable[[int], bool], max_n: int) -> Tuple[str, str]:
 
 
 def _cheby_identity_checks(max_n: int) -> _Checks:
-    return [(name, partial(_first_failure, holds, max_n)) for name, holds in _CHEBY_IDENTITIES]
+    from . import cheby
+
+    # The Chebyshev identities: whether each holds at degree n.
+    identities: Dict[str, Callable[[int], bool]] = {
+        "qdiff_closed_form": lambda n: cheby.qdiff_sine_sum(n) == cheby.qdiff_sine_sum_closed(n),
+        "cosine_from_sines": lambda n: (
+            cheby.cheb_cosine(n) == cheby.cheb_sine(n + 1) - cheby.cheb_sine(n - 1)
+        ),
+        "sine_cosine_product": lambda n: (
+            cheby.cheb_sine(n) * cheby.cheb_cosine(n) == cheby.cheb_sine(2 * n)
+        ),
+    }
+    return [(name, partial(_first_failure, test, max_n)) for name, test in identities.items()]
 
 
 def _suite(suite: str, checks: _Checks) -> List[CheckResult]:
-    return [run_check(f"{suite}.{name}", check) for name, check in checks]
+    from . import fixtures
+
+    return [fixtures.run_check(f"{suite}.{name}", check) for name, check in checks]
 
 
 def _ncrewrite_checks(max_n: int) -> _Checks:
+    from . import ncrewrite
+
     def matrix_lemma() -> Tuple[str, str]:
         report = ncrewrite.verify_matrix_lemma(max_n)
         if report.ok:
@@ -219,16 +202,6 @@ def _ncrewrite_checks(max_n: int) -> _Checks:
     ]
 
 
-def _random_laminar(rng: random.Random, n_holes: int, max_comps: int) -> Tuple[Tuple[int, ...], ...]:
-    while True:
-        comps = []
-        for _ in range(rng.randint(1, max_comps)):
-            size = rng.randint(1, n_holes)
-            comps.append(tuple(sorted(rng.sample(range(1, n_holes + 1), size))))
-        if is_laminar(comps):
-            return tuple(sorted(comps))
-
-
 def _random_sl2_int(rng: random.Random) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     m = ((1, 0), (0, 1))
     for _ in range(rng.randint(2, 5)):
@@ -239,29 +212,42 @@ def _random_sl2_int(rng: random.Random) -> Tuple[Tuple[int, int], Tuple[int, int
 
 
 def _skein_suite(seed: int, fixture_dir: str) -> List[CheckResult]:
+    from dataclasses import replace
+
+    from . import fixtures, skein
+
+    def random_laminar(rng: random.Random, n_holes: int, max_comps: int) -> skein.Multicurve:
+        while True:
+            comps = []
+            for _ in range(rng.randint(1, max_comps)):
+                size = rng.randint(1, n_holes)
+                comps.append(tuple(sorted(rng.sample(range(1, n_holes + 1), size))))
+            if skein.is_laminar(comps):
+                return tuple(sorted(comps))
+
     def roundtrip() -> Tuple[str, str]:
         rng = random.Random(f"{seed}:skein-roundtrip")
-        board = Board(3)
+        board = skein.Board(3)
         for _ in range(12):
-            m = _random_laminar(rng, 3, 3)
-            element = resolve(canonical_diagram(m, board))
-            if element != SkeinElement.basis(board, m):
+            m = random_laminar(rng, 3, 3)
+            element = skein.resolve(skein.canonical_diagram(m, board))
+            if element != skein.SkeinElement.basis(board, m):
                 return "FAIL", f"roundtrip broke on {m}"
         return "PASS", "12 random multicurves on 3 holes"
 
     def annulus() -> Tuple[str, str]:
-        board = Board(1)
+        board = skein.Board(1)
         for i in range(0, 3):
             for j in range(0, 5 - i):
-                a = SkeinElement.basis(board, [(1,)] * i)
-                b = SkeinElement.basis(board, [(1,)] * j)
-                if multiply(a, b) != SkeinElement.basis(board, [(1,)] * (i + j)):
+                a = skein.SkeinElement.basis(board, [(1,)] * i)
+                b = skein.SkeinElement.basis(board, [(1,)] * j)
+                if skein.multiply(a, b) != skein.SkeinElement.basis(board, [(1,)] * (i + j)):
                     return "FAIL", f"power product {i}+{j} broke"
         return "PASS", "basis powers multiply like a polynomial algebra"
 
     def strand_slide() -> Tuple[str, str]:
-        report = verify_skein_identity(
-            [(1, shipped_diagram("r2poked"))], [(1, shipped_diagram("r2nested"))]
+        report = skein.verify_skein_identity(
+            [(1, fixtures.shipped_diagram("r2poked"))], [(1, fixtures.shipped_diagram("r2nested"))]
         )
         if report.ok:
             return "PASS", "poked loop equals plain nesting"
@@ -269,31 +255,31 @@ def _skein_suite(seed: int, fixture_dir: str) -> List[CheckResult]:
 
     def epsilon_factorization() -> Tuple[str, str]:
         rng = random.Random(f"{seed}:skein-epsilon")
-        board = Board(3)
+        board = skein.Board(3)
         for _ in range(10):
-            union = _random_laminar(rng, 3, 4)
+            union = random_laminar(rng, 3, 4)
             mask = [rng.random() < 0.5 for _ in union]
             part_a = tuple(c for c, keep in zip(union, mask) if keep)
             part_b = tuple(c for c, keep in zip(union, mask) if not keep)
-            a = SkeinElement.basis(board, part_a)
-            b = SkeinElement.basis(board, part_b)
-            product = multiply(a, b)
+            a = skein.SkeinElement.basis(board, part_a)
+            b = skein.SkeinElement.basis(board, part_b)
+            product = skein.multiply(a, b)
             for _ in range(3):
                 rho = [_random_sl2_int(rng) for _ in range(3)]
-                lhs = epsilon_of_element(product, rho)
-                rhs = epsilon_of_element(a, rho) * epsilon_of_element(b, rho)
+                lhs = skein.epsilon_of_element(product, rho)
+                rhs = skein.epsilon_of_element(a, rho) * skein.epsilon_of_element(b, rho)
                 if abs(lhs - rhs) > 1e-9:
                     return "FAIL", f"deviation {abs(lhs - rhs)} on {union}"
         return "PASS", "laminar-union pairs factor exactly"
 
-    fixtures: List[CheckResult] = []
+    listed: List[CheckResult] = []
 
     def manifest() -> Tuple[str, str]:
         if not (Path(fixture_dir) / "manifest.txt").is_file():
             return "SKIPPED", f"{fixture_dir} has no manifest.txt"
         try:
-            fixtures.extend(verify_fixture_dir(fixture_dir))
-        except ManifestError as exc:
+            listed.extend(fixtures.verify_fixture_dir(fixture_dir))
+        except fixtures.ManifestError as exc:
             return "FAIL", str(exc)
         return "PASS", ""
 
@@ -307,7 +293,7 @@ def _skein_suite(seed: int, fixture_dir: str) -> List[CheckResult]:
     *items, loaded = _suite("skein", checks)
     if loaded.status != "PASS":  # no fixtures to list: the manifest is the item
         return items + [loaded]
-    return items + [replace(r, name=f"skein.fixture {r.name}") for r in fixtures]
+    return items + [replace(r, name=f"skein.fixture {r.name}") for r in listed]
 
 
 def _sample_t(rng: random.Random) -> float:
@@ -338,6 +324,8 @@ def _random_trace_t(rng: random.Random, t: complex):
 _FRICKE_TOL = 1e-8
 # Largest `chvar fricke --trials`; a triple costs about 35 us, so about 35 s.
 _MAX_TRIALS = 1_000_000
+# A tangle of `chvar scan --tangles`: a literal trace, or a slope (p, q).
+_Tangle = Union[complex, Tuple[int, int]]
 
 
 def _fricke_max_residual(seed: int, trials: int) -> Tuple[float, bool]:
@@ -360,12 +348,7 @@ def _fricke_max_residual(seed: int, trials: int) -> Tuple[float, bool]:
     return worst, passed
 
 
-def _scans(
-    tangles: Sequence[Union[complex, Tuple[int, int]]],
-    seed: int,
-    t_samples: int,
-    b_samples: int,
-):
+def _scans(tangles: Sequence[_Tangle], seed: int, t_samples: int, b_samples: int):
     """Yield (t, report, (healthy, why)) for each sampled trace t in turn,
     scanning each on its own seeded grid of b samples."""
     from . import chvar
@@ -396,6 +379,8 @@ def _scan_healthy(report) -> Tuple[bool, str]:
 
 
 def _chvar_checks(seed: int, t_samples: int, b_samples: int) -> _Checks:
+    from . import chvar  # noqa: F401  (the checks below use it through their helpers)
+
     def fricke() -> Tuple[str, str]:
         worst, passed = _fricke_max_residual(seed, 200)
         if passed:
@@ -439,8 +424,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
-            print(f"config file {args.config} not found", file=sys.stderr)
-            return 2
+            raise ConfigError(f"config file {args.config} not found")
         config_text = path.read_text(encoding="utf-8")
         source = str(path)
     config = parse_config(config_text, source=source)
@@ -451,7 +435,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cheby(args: argparse.Namespace) -> int:
-    _check_degree(args.max_n, 0, "--max-n")
+    _check_range(args.max_n, 0, _MAX_DEGREE, "--max-n")
     failed = False
     for name, check in _cheby_identity_checks(args.max_n):
         status, detail = check()
@@ -461,7 +445,9 @@ def _cmd_cheby(args: argparse.Namespace) -> int:
 
 
 def _cmd_ncverify(args: argparse.Namespace) -> int:
-    _check_degree(args.max_n, 1, "--max-n")
+    from . import ncrewrite
+
+    _check_range(args.max_n, 1, _MAX_DEGREE, "--max-n")
     failed = False
     memo: ncrewrite.SuffixMemo = {}  # route b's suffixes, for every degree
     for n in range(1, args.max_n + 1):
@@ -478,31 +464,37 @@ def _cmd_ncverify(args: argparse.Namespace) -> int:
     return _verdict(failed)
 
 
-def _read_diagram(path: str):
-    file_path = Path(path)
-    if not file_path.is_file():
-        raise DiagramError(f"diagram file {path} not found")
-    return parse_diagram(file_path.read_text(encoding="utf-8"))
-
-
 def _cmd_skein(args: argparse.Namespace) -> int:
+    from . import skein
+
+    def read(path: str) -> skein.Diagram:
+        file_path = Path(path)
+        if not file_path.is_file():
+            raise skein.DiagramError(f"diagram file {path} not found")
+        return skein.parse_diagram(file_path.read_text(encoding="utf-8"))
+
     if args.action == "resolve":
-        element = resolve(_read_diagram(args.file))
+        element = skein.resolve(read(args.file))
         print(element.render())
         return 0
     if args.action == "multiply":
-        ea = resolve(_read_diagram(args.file_a))
-        eb = resolve(_read_diagram(args.file_b))
-        print(multiply(ea, eb).render())
+        ea = skein.resolve(read(args.file_a))
+        eb = skein.resolve(read(args.file_b))
+        print(skein.multiply(ea, eb).render())
         return 0
     # verify-fixture
-    return _report([replace(r, name=f"fixture {r.name}") for r in verify_fixture_dir(args.dir)])
+    from dataclasses import replace
+
+    from . import fixtures
+
+    results = fixtures.verify_fixture_dir(args.dir)
+    return _report([replace(r, name=f"fixture {r.name}") for r in results])
 
 
-def _parse_tangles(text: str) -> Tuple[Union[complex, Tuple[int, int]], ...]:
+def _parse_tangles(text: str) -> Tuple[_Tangle, ...]:
     from . import chvar
 
-    out: List[Union[complex, Tuple[int, int]]] = []
+    out: List[_Tangle] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -530,10 +522,7 @@ def _parse_tangles(text: str) -> Tuple[Union[complex, Tuple[int, int]], ...]:
 
 def _cmd_chvar(args: argparse.Namespace) -> int:
     if args.action == "fricke":
-        if args.trials < 1:
-            raise ConfigError("--trials must be at least 1")
-        if args.trials > _MAX_TRIALS:
-            raise ConfigError(f"--trials must be at most {_MAX_TRIALS}")
+        _check_range(args.trials, 1, _MAX_TRIALS, "--trials")
         worst, passed = _fricke_max_residual(args.seed, args.trials)
         print(f"trials={args.trials} max_abs_f={worst:.3e}")
         return _verdict(not passed)
@@ -555,7 +544,9 @@ def _cmd_chvar(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
-    written = emit_fixture_templates(args.dir, force=args.force)
+    from . import fixtures
+
+    written = fixtures.emit_fixture_templates(args.dir, force=args.force)
     print(f"wrote {len(written)} files to {args.dir}")
     return 0
 
@@ -627,7 +618,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # so its verdict is unknown.
         _drop_stdout()
         return 1
-    except (ConfigError, DiagramError, ManifestError) as exc:
+    except InputError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

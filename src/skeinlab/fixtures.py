@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import InputError
 from .ring import ONE, Q_PLUS_QINV, Laurent
 from .skein import Diagram, DiagramError, parse_diagram, verify_skein_identity
 
@@ -41,7 +42,7 @@ UNFILLED_MARKER = "unfilled"
 MAX_ALPHA_POWER = 64
 
 
-class ManifestError(ValueError):
+class ManifestError(InputError):
     """Malformed manifest text; the message names the offending line."""
 
 

@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
+from . import InputError
+
 Point = Tuple[Fraction, Fraction]
 Branch = Tuple[int, int, Fraction]  # (polyline index, segment index, parameter)
 # (point, branch, branch, left): left when the second branch crosses the
@@ -27,7 +29,7 @@ RayEvent = Tuple[int, int, int]
 HOLE_RADIUS = Fraction(1, 4)
 
 
-class DiagramError(ValueError):
+class DiagramError(InputError):
     """Malformed or geometrically invalid diagram input."""
 
 

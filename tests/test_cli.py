@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import os
 import re
 import subprocess
@@ -8,9 +9,10 @@ import time
 
 import pytest
 
-from skeinlab import chvar, cli
+from skeinlab import chvar, skein
 from skeinlab.cli import ConfigError, main, parse_config
-from skeinlab.skein import Board, canonical_diagram, render_diagram
+from skeinlab.fixtures import ManifestError, parse_manifest
+from skeinlab.skein import Board, DiagramError, canonical_diagram, parse_diagram, render_diagram
 
 
 def test_parse_config_defaults_and_overrides():
@@ -282,6 +284,59 @@ def test_cli_import_leaves_chvar_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# The layers each command loads, besides `skeinlab.cli` and `skeinlab.ring`.
+_SKEIN = {"skeinlab.geom", "skeinlab.skein"}
+_FIXTURES = _SKEIN | {"skeinlab.fixtures"}
+_LAYERS = {
+    "cheby verify": {"skeinlab.cheby"},
+    "ncverify": {"skeinlab.cheby", "skeinlab.ncrewrite"},
+    "chvar scan": {"skeinlab.chvar"},
+    "chvar fricke": {"skeinlab.chvar"},
+    "skein resolve": _SKEIN,
+    "skein multiply": _SKEIN,
+    "fixtures emit": _FIXTURES,
+    "skein verify-fixture": _FIXTURES,
+    "verify all": _FIXTURES | {"skeinlab.cheby", "skeinlab.chvar", "skeinlab.ncrewrite"},
+}
+
+
+def _loaded_by(argv):
+    """The `skeinlab.*` modules that a fresh interpreter holds after
+    running `argv` through `skeinlab.cli.main`, which must return 0."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from skeinlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('skeinlab.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, _, modules = proc.stdout.partition(" ")
+    assert code == "0", proc.stdout
+    return set(ast.literal_eval(modules))
+
+
+@pytest.mark.parametrize("command", list(_LAYERS))
+def test_each_command_loads_only_its_layers(command, tmp_path):
+    fixtures = tmp_path / "fx"
+    assert main(["fixtures", "emit", "--dir", str(fixtures)]) == 0
+    diagram = tmp_path / "one.diagram"
+    diagram.write_text(render_diagram(canonical_diagram(((1,),), Board(1))), encoding="utf-8")
+    args = {
+        "cheby verify": ["--max-n", "3"],
+        "ncverify": ["--max-n", "3"],
+        "chvar scan": ["--t-samples", "1", "--b-samples", "32"],
+        "chvar fricke": ["--trials", "10"],
+        "skein resolve": [str(diagram)],
+        "skein multiply": [str(diagram), str(diagram)],
+        "fixtures emit": ["--dir", str(tmp_path / "emitted")],
+        "skein verify-fixture": [str(fixtures)],
+        "verify all": ["--config", str(_write_config(tmp_path, fixtures))],
+    }[command]
+    assert _loaded_by(command.split() + args) == {"skeinlab.cli", "skeinlab.ring"} | _LAYERS[command]
+
+
 def test_commands_run_with_numpy_blocked():
     # numpy is a test dependency only: the chvar commands and `verify all`
     # must run in an interpreter that cannot import it
@@ -492,7 +547,7 @@ def test_verify_all_isolates_a_raising_check(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "verify_skein_identity", boom)
+    monkeypatch.setattr(skein, "verify_skein_identity", boom)
     config = _write_config(tmp_path, tmp_path / "nowhere")
     assert main(["verify", "all", "--config", str(config)]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -515,6 +570,67 @@ def test_verify_all_config_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "max_n must be at most 96" in captured.err
+
+
+def test_verify_all_loads_each_layer_before_timing_its_items(tmp_path):
+    # A layer compiled inside a timed item would be charged to that item.
+    code = (
+        "import contextlib, io, sys\n"
+        "from skeinlab import fixtures\n"
+        "timed = fixtures.run_check\n"
+        "loads = []\n"
+        "def recording(name, check):\n"
+        "    before = set(sys.modules)\n"
+        "    result = timed(name, check)\n"
+        "    loads.append((name, sorted(set(sys.modules) - before)))\n"
+        "    return result\n"
+        "fixtures.run_check = recording\n"
+        "from skeinlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(loads)\n"
+    )
+    config = _write_config(tmp_path, tmp_path / "nowhere")
+    argv = [sys.executable, "-c", code, "verify", "all", "--config", str(config)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loads = ast.literal_eval(proc.stdout)
+    assert [name for name, _ in loads][-2:] == ["chvar.fricke_random", "chvar.x1_scan"]
+    assert [(name, new) for name, new in loads if any(m.startswith("skeinlab") for m in new)] == []
+
+
+def _bad_config(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("max_n = banana\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as error:
+        parse_config(path.read_text(encoding="utf-8"), source=str(path))
+    return ["verify", "all", "--config", str(path)], error.value
+
+
+def _bad_diagram(tmp_path):
+    path = tmp_path / "bad.diagram"
+    path.write_text("board holes=1\ncurve junk\n", encoding="utf-8")
+    with pytest.raises(DiagramError) as error:
+        parse_diagram(path.read_text(encoding="utf-8"))
+    return ["skein", "resolve", str(path)], error.value
+
+
+def _bad_manifest(tmp_path):
+    (tmp_path / "manifest.txt").write_text("junk\n", encoding="utf-8")
+    with pytest.raises(ManifestError) as error:
+        parse_manifest("junk\n")
+    return ["skein", "verify-fixture", str(tmp_path)], error.value
+
+
+@pytest.mark.parametrize(
+    "bad_input", [_bad_config, _bad_diagram, _bad_manifest], ids=["config", "diagram", "manifest"]
+)
+def test_input_errors_exit_2_with_the_bare_message(bad_input, tmp_path, capsys):
+    argv, error = bad_input(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{error}\n"
 
 
 def test_closed_pipe_exits_quietly():
