@@ -217,10 +217,10 @@ def check_slope(a: int, b: int) -> None:
 
 
 def _relator(a: int, b: int, u, v) -> list:
-    """The entries of W u - v W, for bridge_representation's word W."""
+    """Entries of W u - v W (odd b) or W v - v W (even b), for bridge_representation's W."""
     letters = ((u if i % 2 else v, i * a // b % 2) for i in range(1, b))
     word = reduce(m2_mul, (m2_adj(g) if odd else g for g, odd in letters))
-    lhs, rhs = m2_mul(word, u), m2_mul(v, word)
+    lhs, rhs = m2_mul(word, u if b % 2 else v), m2_mul(v, word)
     return [x - y for row, other in zip(lhs, rhs) for x, y in zip(row, other)]
 
 
@@ -228,7 +228,8 @@ def bridge_representation(a: int, b: int, t: complex) -> List[Tuple[Mat, Mat]]:
     """All irreducible two-generator representations of the two-bridge
     link of slope a/b sending both bridge meridians to trace-t elements.
 
-    The two meridians u, v satisfy W u = v W where W alternates
+    The two meridians u, v satisfy W u = v W for odd b (a knot) and
+    W v = v W for even b (a two-component link), where W alternates
     u^{e_1} v^{e_2} u^{e_3} ... over b-1 letters with e_i = (-1)^floor(ia/b).
     That exponent rule needs an odd a, so an even a is replaced by a - b,
     which gives the same link.  Parametrizing v by s = tr(uv) turns the

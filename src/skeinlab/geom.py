@@ -3,8 +3,8 @@
 The disc's holes are centred at (1,0) .. (n,0), radius `HOLE_RADIUS`.
 `find_crossings` validates closed rational polylines and finds their
 crossings, each with its orientation, on a per-diagram integer grid;
-`ray_events` gives a polyline's winding data on its own grid, which
-`loop_winding` and `arc_winding` sum.
+`arc_windings` gives the winding numbers of a polyline's arcs between
+cut points, in one pass over its own grid.
 Everything is exact: there are no epsilon thresholds anywhere in the
 diagram pipeline.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import InputError
 
@@ -22,9 +22,6 @@ Branch = Tuple[int, int, Fraction]  # (polyline index, segment index, parameter)
 # (point, branch, branch, left): left when the second branch crosses the
 # first from right to left, i.e. the cross product of their edges is > 0.
 Contact = Tuple[Point, Branch, Branch, bool]
-# (edge index, +1 upward or -1 downward, k): the edge crosses the
-# rightward rays from the centres of holes 1..k.
-RayEvent = Tuple[int, int, int]
 
 HOLE_RADIUS = Fraction(1, 4)
 
@@ -189,19 +186,31 @@ def find_crossings(
     return contacts
 
 
-def ray_events(n_holes: int, poly: Sequence[Point]) -> Tuple[RayEvent, ...]:
-    """Ray events of a closed polyline, on the integer grid of its own
-    coordinate denominators.  An edge a->b crosses y = 0 upward when
-    y_a <= 0 < y_b and downward when y_b <= 0 < y_a; by this half-open
-    rule a closed polyline's events sum to its winding numbers.  Every
-    centre (h, 0) lies on y = 0, so the edge crosses the rightward rays of
-    the holes 1..k left of its x-intercept: k is one floor division."""
+def arc_windings(
+    n_holes: int, poly: Sequence[Point], cuts: Sequence[Tuple[Fraction, Fraction]]
+) -> List[Tuple[int, ...]]:
+    """Winding numbers about holes 1..n_holes of the arcs of a closed
+    polyline between its cuts, in one pass over the integer grid of its
+    coordinate denominators.  A cut is a point (g, y) on the polyline, edge
+    index plus edge parameter and ordinate, and the cuts come in order
+    along it.  Arc i runs forward from cut i to cut i + 1, the last one
+    through vertex 0 back to cut 0; with no cuts the one arc is the whole
+    polyline.
+
+    An edge a->b crosses y = 0 upward when y_a <= 0 < y_b and downward
+    when y_b <= 0 < y_a; by this half-open rule the arcs' windings sum to
+    the polyline's.  Every centre (h, 0) lies on y = 0, so the edge crosses
+    the rightward rays of the holes 1..k left of its x-intercept: k is one
+    floor division.  The crossing goes to the arc of the last cut not after
+    it; on a cut's own edge it is after the cut when the cut has y <= 0 on
+    an upward edge, or y > 0 on a downward one."""
     scale = math.lcm(*{c.denominator for p in poly for c in p})
     grid = [
         (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
         for x, y in poly
     ]
-    events: List[RayEvent] = []
+    at = [(int(g), y <= 0) for g, y in cuts]
+    out = [[0] * n_holes for _ in range(max(1, len(cuts)))]
     for si, ((ax, ay), (bx, by)) in enumerate(zip(grid, grid[1:] + grid[:1])):
         if (ay <= 0) == (by <= 0):
             continue
@@ -212,42 +221,11 @@ def ray_events(n_holes: int, poly: Sequence[Point]) -> Tuple[RayEvent, ...]:
         if dy < 0:
             num, dy = -num, -dy
         k = min(n_holes, (num - 1) // (scale * dy))
-        if k > 0:
-            events.append((si, 1 if ay <= 0 else -1, k))
-    return tuple(events)
-
-
-def loop_winding(events: Iterable[RayEvent], n_holes: int) -> Tuple[int, ...]:
-    """Winding numbers about holes 1..n_holes summed from ray events; for
-    all the events of a closed polyline, its winding numbers."""
-    w = [0] * n_holes
-    for _, d, k in events:
+        if k <= 0:
+            continue
+        up = ay <= 0
+        # Arc -1 is the last one: a crossing before every cut closes it.
+        w = out[sum(ci < si or (ci == si and low == up) for ci, low in at) - 1]
         for h in range(k):
-            w[h] += d
-    return tuple(w)
-
-
-def arc_winding(
-    events: Sequence[RayEvent],
-    n_holes: int,
-    start: Tuple[Fraction, Fraction],
-    end: Tuple[Fraction, Fraction],
-) -> Tuple[int, ...]:
-    """Winding numbers of the path forward along a closed polyline, whose
-    ray events these are, from point `start` to point `end`.
-
-    A point is (g, y): edge index plus edge parameter, and ordinate.  The
-    path passes vertex 0 when end's g is not above start's, so equal points
-    give the whole loop.  On a point's edge, the half-open rule puts the
-    event in the part whose y range, closed below, contains 0: before the
-    point when y <= 0 on a downward edge or y > 0 on an upward one."""
-
-    def before(event: RayEvent, point: Tuple[Fraction, Fraction]) -> bool:
-        si = int(point[0])
-        return event[0] < si or (event[0] == si and (point[1].numerator <= 0) != (event[1] > 0))
-
-    if start[0] < end[0]:
-        picked = [e for e in events if before(e, end) and not before(e, start)]
-    else:
-        picked = [e for e in events if before(e, end) or not before(e, start)]
-    return loop_winding(picked, n_holes)
+            w[h] += 1 if up else -1
+    return [tuple(w) for w in out]

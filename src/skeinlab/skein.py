@@ -39,11 +39,9 @@ from .geom import (
     Contact,
     DiagramError,
     Point,
-    arc_winding,
+    arc_windings,
     find_crossings,
     fmt_point,
-    loop_winding,
-    ray_events,
 )
 from .ring import Combination, Laurent, Matrix2, ONE, Q_PLUS_QINV, accumulate, m2_det, m2_trace
 
@@ -450,7 +448,7 @@ def _resolve_component(
     n_holes = d.board.n_holes
     if not cross_ids:
         (pi,) = polys
-        comp = _classify_windings(loop_winding(ray_events(n_holes, d.polylines[pi]), n_holes))
+        comp = _classify_windings(arc_windings(n_holes, d.polylines[pi], [])[0])
         if comp:
             return {(comp,): ONE}
         return {(): MINUS_ALPHA}
@@ -471,13 +469,11 @@ def _resolve_component(
     windings: List[Tuple[int, ...]] = []
     for pi in polys:
         ps = sorted(passages[pi])
-        events = ray_events(n_holes, d.polylines[pi])
-        for i, (g1, k1, b1) in enumerate(ps):
-            g2, k2, b2 = ps[(i + 1) % len(ps)]
-            start = (g1, d.crossings[k1].point[1])
-            end = (g2, d.crossings[k2].point[1])
+        cuts = [(g, d.crossings[k].point[1]) for g, k, _ in ps]
+        windings += arc_windings(n_holes, d.polylines[pi], cuts)
+        for i, (_, k1, b1) in enumerate(ps):
+            _, k2, b2 = ps[(i + 1) % len(ps)]
             ends.append((base[k1] + 2 * b1 + _OUT, base[k2] + 2 * b2 + _IN))
-            windings.append(arc_winding(events, n_holes, start, end))
 
     # A loop uses each arc at most once, so no loop's winding about a hole
     # exceeds the total over all arcs and holes.

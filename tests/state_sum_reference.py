@@ -4,7 +4,7 @@
 before its integer kernel.  Ports are (crossing, branch, in/out) tuples,
 every state rebuilds a port-keyed `partner` dict, every loop sums a
 winding list hole by hole, and every state adds its own Laurent scalar.
-It shares the arcs (`geom.arc_winding`) and the loop classification with
+It shares the arcs (`geom.arc_windings`) and the loop classification with
 the engine, so it checks the kernel's numbering, packing and tally, not
 the geometry.  Each crossing's orientation is the one exception: it comes
 from the `Fraction` cross product of the branches' edges, not from the
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from oracles import cross, sub
-from skeinlab.geom import Branch, Point, arc_winding, loop_winding, ray_events
+from skeinlab.geom import Branch, Point, arc_windings
 from skeinlab.ring import ONE, Laurent, accumulate
 from skeinlab.skein import (
     MINUS_ALPHA,
@@ -64,7 +64,7 @@ def reference_component(
     n_holes = d.board.n_holes
     if not cross_ids:
         (pi,) = polys
-        comp = _classify_windings(loop_winding(ray_events(n_holes, d.polylines[pi]), n_holes))
+        comp = _classify_windings(arc_windings(n_holes, d.polylines[pi], [])[0])
         return {(comp,): ONE} if comp else {(): MINUS_ALPHA}
 
     c = len(cross_ids)
@@ -75,14 +75,11 @@ def reference_component(
     arcs: List[_Arc] = []
     for pi in polys:
         ps = sorted(passages[pi])
-        events = ray_events(n_holes, d.polylines[pi])
-        for i, (g1, k1, b1) in enumerate(ps):
-            g2, k2, b2 = ps[(i + 1) % len(ps)]
-            start = (g1, d.crossings[k1].point[1])
-            end = (g2, d.crossings[k2].point[1])
-            arcs.append(
-                _Arc((k1, b1, _OUT), (k2, b2, _IN), arc_winding(events, n_holes, start, end))
-            )
+        cuts = [(g, d.crossings[k].point[1]) for g, k, _ in ps]
+        windings = arc_windings(n_holes, d.polylines[pi], cuts)
+        for i, (_, k1, b1) in enumerate(ps):
+            _, k2, b2 = ps[(i + 1) % len(ps)]
+            arcs.append(_Arc((k1, b1, _OUT), (k2, b2, _IN), windings[i]))
 
     arc_at: Dict[Port, Tuple[int, int]] = {}
     for ai, arc in enumerate(arcs):

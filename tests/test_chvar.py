@@ -376,19 +376,29 @@ def test_bridge_roots_match_numpy(slope, monkeypatch):
         assert all(abs(g - w) < 1e-9 for g, w in zip(got, want)), t
 
 
+def _relation_residual(lhs, rhs):
+    return float(np.abs(np.linalg.multi_dot(lhs) - np.linalg.multi_dot(rhs)).max())
+
+
 def test_bridge_mirror_slopes_solve_at_the_default_scan_traces():
-    # the controls of the two pins below
+    # The controls of 3/4 and of the 2/31 pin below.  1/4 closes to the
+    # link T(2,4), whose meridians satisfy (uv)^2 = (vu)^2.
     ts = _cli_t_values([0])
-    assert all(bridge_representation(1, 4, t) for t in ts)
+    for t in ts:
+        for pair in bridge_representation(1, 4, t):
+            u, v = map(np.array, pair)
+            assert _relation_residual([u, v, u, v], [v, u, v, u]) < 1e-9, t
     assert bridge_representation(1, 31, ts[0])
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason="known defect: 3/4 finds no root")
 def test_bridge_slope_3_4_solves_at_the_default_scan_traces():
-    # Pinned: at all 8 traces `chvar scan` samples at seed 0, 3/4 raises
-    # "no irreducible solution" while its mirror 1/4 solves at each.
+    # At all 8 traces `chvar scan` samples at seed 0.  3/4 closes to a
+    # two-component link, whose word W = u v^-1 u commutes with v.
     for t in _cli_t_values([0]):
-        assert bridge_representation(3, 4, t)
+        for pair in bridge_representation(3, 4, t):
+            u, v = map(np.array, pair)
+            vi = np.linalg.inv(v)
+            assert _relation_residual([u, vi, u, v], [v, u, vi, u]) < 1e-9, t
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError, reason="known defect: 2/31 finds no root")
