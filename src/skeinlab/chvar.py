@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import zip_longest
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .ring import Matrix2, m2_adj, m2_det, m2_mul, m2_trace
 
@@ -315,96 +315,79 @@ class ReprPoint:
 _BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _resolve_tangle(spec: Tangle, t: complex) -> complex:
-    if isinstance(spec, tuple):
-        a, b = spec
-        u, v = bridge_representation(a, b, t)[0]
-        return m2_trace(u, v)
-    return complex(spec)
+def _tangle_traces(tangles: Sequence[Tangle], t: complex) -> Tuple[complex, ...]:
+    """The trace s_i of each of four tangles at trace t: a literal trace, or
+    tr(uv) of a slope's first two-bridge representation.  A count other
+    than four, or a trace on the reducible locus {2, t^2 - 2}, is raised."""
+    if len(tangles) != 4:
+        raise ValueError("exactly four tangles required")
+    s_traces = tuple(
+        m2_trace(*bridge_representation(*spec, t)[0]) if isinstance(spec, tuple) else complex(spec)
+        for spec in tangles
+    )
+    for s_val in s_traces:
+        if abs(s_val - 2) < _DEGENERATE_TOL or abs(s_val - (t * t - 2)) < _DEGENERATE_TOL:
+            raise ValueError(f"tangle trace {s_val} lies on the reducible locus")
+    return s_traces
+
+
+def _off(*pairs) -> bool:
+    """Whether some (got, want) pair differs by more than _DET_TOL."""
+    return any(abs(got - want) > _DET_TOL for got, want in pairs)
 
 
 def build_X1_points(
     tangles: Sequence[Tangle],
     t: complex,
     b_param: complex,
-) -> List[Union[ReprPoint, ValueError]]:
+) -> List[Optional[ReprPoint]]:
     """Four trace-t matrices x1..x4 with tr(x_{i-1} x_i) = t^2 - s_i and
     tr(x2 x4) = b_param for each branch of `_BRANCHES` (bits picking the
-    quadratic root for x1 and x3), in order: its ReprPoint, or its
-    ValueError.  A tangle is a trace s_i or a slope pair (a, b), whose s_i
-    comes from the first two-bridge representation at this t.  The
-    branches share x2, x4, the t123 roots and both trace systems; each root
-    is solved, and each trace that depends on one branch bit taken, once.
-    A shared failure is raised."""
-    if len(tangles) != 4:
-        raise ValueError("exactly four tangles required")
+    quadratic root for x1 and x3), in order: its ReprPoint, or None where
+    a determinant or trace misses its target by more than _DET_TOL.  The
+    tangles are as in `_tangle_traces`.  The branches share x2, x4, their
+    four checks, the t123 roots and both trace systems; each root's matrix
+    is solved, checked and traced once.  A shared failure is raised."""
     t = complex(t)
     b_param = complex(b_param)
-    s_traces = tuple(_resolve_tangle(spec, t) for spec in tangles)
-    for s_val in s_traces:
-        if (
-            abs(s_val - 2) < _DEGENERATE_TOL
-            or abs(s_val - (t * t - 2)) < _DEGENERATE_TOL
-        ):
-            raise ValueError(f"tangle trace {s_val} lies on the reducible locus")
     # pairwise targets tr(x_{i-1} x_i) = t^2 - s_i
-    p1, p2, p3, p4 = (t * t - s_val for s_val in s_traces)
+    p1, p2, p3, p4 = (t * t - s_val for s_val in _tangle_traces(tangles, t))
     x2, x4 = pair_with_traces(t, b_param)
     r124 = solve_t123(b_param, p1, p2, t)
     r234 = solve_t123(b_param, p3, p4, t)
     for lo, hi in (r124, r234):
         if abs(lo - hi) < 1e-9:
             raise ValueError("non-generic b_param: vanishing discriminant")
-    # x1: tr(x4 x1) = p1, tr(x2 x1) = p2 (the pair here is (x4, x2))
-    x1s = _thirds((x4, x2), t, p1, p2, r124)
-    # x3: tr(x2 x3) = p3, tr(x4 x3) = p4
-    x3s = _thirds((x2, x4), t, p3, p4, r234)
-    # Per bit, the checks and traces of x1 (ones) and x3 (threes), each product
-    # as in a branch built alone; pair_with_traces checked det x2 and det x4.
-    ones, threes = {}, {}
-    for bit, x1 in enumerate(x1s):
-        if not isinstance(x1, ValueError):
-            x12 = m2_mul(x1, x2)
-            ones[bit] = (
-                x12, m2_det(x1), m2_trace(x1), m2_trace(x4, x1), m2_trace(x12), m2_trace(x12, x4)
-            )
-    for bit, x3 in enumerate(x3s):
-        if not isinstance(x3, ValueError):
-            x23 = m2_mul(x2, x3)
-            threes[bit] = (
-                m2_det(x3), m2_trace(x3), m2_trace(x23), m2_trace(x3, x4), m2_trace(x23, x4)
-            )
-    tr2, tr4 = m2_trace(x2), m2_trace(x4)
-    t24, t_inv = m2_trace(x2, x4), m2_trace(m2_adj(x2), x4)
-    out: List[Union[ReprPoint, ValueError]] = []
+    t24 = m2_trace(x2, x4)
+    tr2, tr4, t_inv = m2_trace(x2), m2_trace(x4), m2_trace(m2_adj(x2), x4)
+    if _off((tr2, t), (tr4, t), (t24, b_param), (t_inv, t * t - b_param)):
+        return [None] * 4
+
+    def first(x1):
+        # tr(x4 x1) = p1, tr(x1 x2) = p2: x1 with x1 x2 and its traces
+        x12 = m2_mul(x1, x2)
+        t41, t12 = m2_trace(x4, x1), m2_trace(x12)
+        if _off((m2_det(x1), 1), (m2_trace(x1), t), (t41, p1), (t12, p2)):
+            return None
+        return x1, x12, t41, t12, m2_trace(x12, x4)
+
+    def third(x3):
+        # tr(x2 x3) = p3, tr(x3 x4) = p4: x3 with its traces
+        x23 = m2_mul(x2, x3)
+        t23, t34 = m2_trace(x23), m2_trace(x3, x4)
+        if _off((m2_det(x3), 1), (m2_trace(x3), t), (t23, p3), (t34, p4)):
+            return None
+        return x3, t23, t34, m2_trace(x23, x4)
+
+    # the pair for x1 is (x4, x2), for x3 (x2, x4); a singular system's None stays
+    ones = [x1 and first(x1) for x1 in _thirds((x4, x2), t, p1, p2, r124)]
+    threes = [x3 and third(x3) for x3 in _thirds((x2, x4), t, p3, p4, r234)]
+    out: List[Optional[ReprPoint]] = []
     for b0, b1 in _BRANCHES:
-        x1, x3 = x1s[b0], x3s[b1]
-        if isinstance(x1, ValueError) or isinstance(x3, ValueError):
-            out.append(x1 if isinstance(x1, ValueError) else x3)
+        if ones[b0] is None or threes[b1] is None:
+            out.append(None)
             continue
-        x12, det1, tr1, t41, t12, t124 = ones[b0]
-        det3, tr3, t23, t34, t234 = threes[b1]
-        # in a lone branch's order, so each branch reports the failure it would alone
-        checks = (
-            (det1, 1, "x1: determinant {} is not 1"),
-            (tr1, t, "x1 trace {} is not t"),
-            (tr2, t, "x2 trace {} is not t"),
-            (det3, 1, "x3: determinant {} is not 1"),
-            (tr3, t, "x3 trace {} is not t"),
-            (tr4, t, "x4 trace {} is not t"),
-            (t41, p1, "tr(x4 x1) = {}, wanted {}"),
-            (t12, p2, "tr(x1 x2) = {}, wanted {}"),
-            (t23, p3, "tr(x2 x3) = {}, wanted {}"),
-            (t34, p4, "tr(x3 x4) = {}, wanted {}"),
-            (t24, b_param, "tr(x2 x4) = {}, wanted {}"),
-            (t_inv, t * t - b_param, "tr(x2^-1 x4) != t^2 - b"),
-        )
-        failed = [
-            text.format(got, want) for got, want, text in checks if abs(got - want) > _DET_TOL
-        ]
-        if failed:
-            out.append(ValueError(failed[0]))
-            continue
+        (x1, x12, t41, t12, t124), (x3, t23, t34, t234) = ones[b0], threes[b1]
         x13 = m2_mul(x1, x3)
         data = TraceData(
             t, t12, t23, t34, t41, t24,
@@ -417,15 +400,15 @@ def build_X1_points(
 def _thirds(pair, t, t13, t23, roots):
     """Per root r, a3 = alpha*I + beta*a1 + gamma*a2 + delta*a1a2 for the
     pair (a1, a2), with tr(a3) = t, tr(a1 a3) = t13, tr(a2 a3) = t23 and
-    tr(a1 a2 a3) = r, from one solve of the basis' symmetric trace system
-    (a singular one is every root's ValueError).  det a3 = 1 exactly when
+    tr(a1 a2 a3) = r, from one solve of the basis' symmetric trace system;
+    a singular system gives None for every root.  det a3 = 1 exactly when
     r satisfies fricke_f, which the caller checks."""
     basis = (_mat(1, 0, 0, 1), *pair, m2_mul(*pair))
     upper = {(i, j): m2_trace(basis[i], basis[j]) for i in range(4) for j in range(i, 4)}
     system = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
     solutions, det = _solve(system, [(t, t13, t23, r) for r in roots])
     if abs(det) < 1e-6:
-        return [ValueError("singular trace system (reducible input pair)")] * len(roots)
+        return [None] * len(roots)
     return [
         tuple(
             tuple(sum(c * m[i][j] for c, m in zip(coeffs, basis)) for j in (0, 1))
@@ -575,7 +558,7 @@ def nonvanishing_scan(
     if len(b_grid) < 32:
         raise ValueError("grid size >= 32 required")
     t = complex(t)
-    s_traces = tuple(_resolve_tangle(spec, t) for spec in tangles)
+    s_traces = _tangle_traces(tangles, t)
     records: List[ScanRecord] = []
     nonvanishing = 0
     any_nonzero = False
@@ -593,7 +576,7 @@ def nonvanishing_scan(
         except ValueError:
             points = []
         for branch_idx, point in enumerate(points):
-            if isinstance(point, ValueError):
+            if point is None:
                 continue
             if not quad_roots:
                 d = point.data

@@ -514,6 +514,8 @@ def _parse_tangles(text: str) -> Tuple[_Tangle, ...]:
                 raise ConfigError(f"bad tangle trace {chunk!r}") from None
             if not cmath.isfinite(trace):
                 raise ConfigError(f"bad tangle trace {chunk!r}: not finite")
+            if abs(trace - 2) < chvar._DEGENERATE_TOL:
+                raise ConfigError(f"bad tangle trace {chunk!r}: 2 lies on the reducible locus")
             out.append(trace)
     if len(out) != 4:
         raise ConfigError(f"need exactly 4 tangles, got {len(out)}")

@@ -84,12 +84,12 @@ def epsilon_u_direct(p, i: int) -> complex:
 def build_X1_point(
     tangles: Sequence, t: complex, b_param: complex, branches: Tuple[int, int] = (0, 0)
 ) -> ReprPoint:
-    """`chvar.build_X1_points` for one branch: its point, or its error raised."""
+    """`chvar.build_X1_points` for one branch: its point, raised if None."""
     if branches not in _BRANCHES:
         raise ValueError("branches must be two bits")
     point = build_X1_points(tangles, t, b_param)[_BRANCHES.index(branches)]
-    if isinstance(point, ValueError):
-        raise point
+    if point is None:
+        raise ValueError(f"branch {branches} failed a determinant or trace check")
     return point
 
 
@@ -103,8 +103,8 @@ def third_with_traces(a1, a2, t, t13, t23, t123):
 
 def _third_chvar(a1, a2, t, t13, t23, t123):
     (a3,) = _thirds((a1, a2), t, t13, t23, (t123,))
-    if isinstance(a3, ValueError):
-        raise a3
+    if a3 is None:
+        raise ValueError("singular trace system (reducible input pair)")
     return a3
 
 
@@ -128,8 +128,8 @@ def build_X1_point_direct(
     third=_third_chvar,
 ) -> ReprPoint:
     """One branch of `chvar.build_X1_points`, every step taken for this
-    branch alone, in the same order and with the same checks and messages.
-    `third(a1, a2, t, t13, t23, t123)` builds x1 and x3."""
+    branch alone, with the same checks: its point, or the first check it
+    fails raised.  `third(a1, a2, t, t13, t23, t123)` builds x1 and x3."""
     if len(tangles) != 4:
         raise ValueError("exactly four tangles required")
     if branches[0] not in (0, 1) or branches[1] not in (0, 1):

@@ -31,6 +31,7 @@ from skeinlab.chvar import (
     zero_locus_roots,
 )
 from skeinlab.cheby import cheb_sine
+from skeinlab.ring import m2_adj, m2_mul
 from skeinlab.skein import Board, SkeinElement, epsilon_of_element
 
 
@@ -250,24 +251,25 @@ _BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def _same_branch(got, want):
     if isinstance(want, str):
-        return isinstance(got, ValueError) and str(got) == want
+        return got is None
     return (
-        got.branches == want.branches
+        got is not None
+        and got.branches == want.branches
         and got.x == want.x
         and vars(got.data) == vars(want.data)
     )
 
 
 def test_build_X1_points_match_the_direct_route():
-    # Each branch must equal the one built alone, bit for bit, and fail
-    # where it fails with the same message.  Zero-locus roots of the
-    # symmetric family lie on the reducible locus (a failure every branch
-    # shares); points just off them give singular trace systems, which
-    # each branch reports.  The two fixed points, found by a search near
-    # b = 2 and near the roots, fail branch by branch: det x1 or det x3
-    # lands just past 1e-9, and the message a branch gives depends on the
-    # order of the checks.  Where the determinant lands is a matter of
-    # rounding, so a change to the elimination moves these points.
+    # Each branch must equal the one built alone, bit for bit, and be None
+    # exactly where the lone build raises; a failure every branch shares
+    # is raised with the lone build's message.  Zero-locus roots of the
+    # symmetric family lie on the reducible locus (a shared failure);
+    # points just off them give singular trace systems, which make each
+    # branch None.  At the two fixed points, found by a search near b = 2
+    # and near the roots, some branches build and some do not: det x1 or
+    # det x3 lands just past 1e-9.  Where the determinant lands is a
+    # matter of rounding, so a change to the elimination moves these points.
     rng = random.Random(2024)
     symmetric, mixed = ((1, 3),) * 4, ((1, 3), (1, 5), (3, 7), 0.4 + 0.3j)
     cases = [
@@ -308,6 +310,33 @@ def test_build_X1_points_match_the_direct_route():
     assert shared and per_branch and built
     # the fixed points are the ones whose branches part ways
     assert split == [cases[0][2][0], cases[1][2][0]]
+
+
+@pytest.mark.parametrize("system", [0, 1])
+@pytest.mark.parametrize("side", [0, 1])
+def test_build_X1_points_check_each_pair_trace(monkeypatch, system, side):
+    # The first trace system solves x1 over the pair (x4, x2), the second
+    # x3 over (x2, x4).  Conjugating its matrices by one matrix g of the
+    # pair keeps their determinant, trace and trace with g, and moves
+    # their trace with the other: no branch may build.
+    rng = random.Random(11)
+    t = 2 * math.cos(0.8)
+    b = _sample_b(rng, t)
+    tangles = ((1, 3),) * 4
+    assert None not in build_X1_points(tangles, t, b)
+    thirds, calls = chvar._thirds, []
+
+    def conjugated(pair, *rest):
+        out = thirds(pair, *rest)
+        calls.append(pair)
+        if len(calls) == system + 1:
+            g = pair[side]
+            out = [m2_mul(m2_mul(g, m), m2_adj(g)) for m in out]
+        return out
+
+    monkeypatch.setattr(chvar, "_thirds", conjugated)
+    assert build_X1_points(tangles, t, b) == [None] * 4
+    assert len(calls) == 2
 
 
 def test_scan_shares_work_between_branches(monkeypatch):
@@ -589,6 +618,14 @@ def test_nonvanishing_scan_reports():
 def test_nonvanishing_scan_rejects_small_grid():
     with pytest.raises(ValueError, match="32"):
         nonvanishing_scan((0.9,) * 4, 1.4, [2.5, 2.6])
+
+
+def test_nonvanishing_scan_rejects_reducible_tangle_traces():
+    # before the grid, not as "every grid point vanished"; -0.04 = t^2 - 2
+    grid = [2.5 + 0.01 * k for k in range(32)]
+    for tangles, t in (((2, 1, 1, 1), 1.4), (((1, 3), 1, -0.04, 1), 1.4 + 0j)):
+        with pytest.raises(ValueError, match="reducible locus"):
+            nonvanishing_scan(tangles, t, grid)
 
 
 def test_scan_is_deterministic():

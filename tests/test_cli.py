@@ -448,6 +448,15 @@ def test_chvar_scan_rejects_non_finite_traces_before_output(capsys, trace):
     assert f"bad tangle trace {trace!r}: not finite" in captured.err
 
 
+@pytest.mark.parametrize("trace", ["2", "2.000000001", "2+1e-9j"])
+def test_chvar_scan_rejects_reducible_traces_before_output(capsys, trace):
+    argv = ["chvar", "scan", "--tangles", f"{trace},1/3,1/3,1/3", "--t-samples", "1", "--b-samples", "32"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad tangle trace {trace!r}" in captured.err and "reducible locus" in captured.err
+
+
 def _write_config(tmp_path, fixture_dir):
     config = tmp_path / "verify.cfg"
     config.write_text(
