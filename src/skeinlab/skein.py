@@ -8,13 +8,16 @@ encloses, producing an element of the free module on laminar multicurves.
 
 The state sum runs on ints.  A group of c crossings has 4c numbered
 ports and 2c arcs, and each arc's winding vector is packed into one int.
-The 2^c states are visited in reflected Gray order, so a state costs one
-crossing's pairings rewritten in one reused `partner` list and one walk
-over the 2c arcs, adding one int per arc.  A memo keyed by packed winding
-gives each loop's hole set, and each state is counted under one int key:
-its number of b-smoothings, plus one digit per hole set counting its
-loops around that set.  The Laurent scalars are built once per key,
-after the 2^c states.
+The group's last crossing stays open, and the 2^(c-1) smoothings of the
+others are visited in reflected Gray order, so a walk costs one
+crossing's four entries rewritten in one reused `jump` list and one pass
+over the 2c arcs, adding one int per arc.  The pass yields closed loops
+and two paths through the open crossing, and its two smoothings close
+those paths into two loops or one, so each walk counts two states.  A
+memo keyed by packed winding gives each loop's hole set, and each state
+is counted under one int key: its number of b-smoothings, plus one digit
+per hole set counting its loops around that set.  The Laurent scalars
+are built once per key, after the walks.
 
 Canonical diagrams are laid out on ints too: each coordinate of a
 multicurve's bands is a whole numerator over one denominator that the
@@ -56,9 +59,9 @@ MINUS_ALPHA = -Q_PLUS_QINV
 # and where a profile steps between two columns.
 _PIN, _HALF, _Q38, _Q58 = Fraction(5, 16), Fraction(1, 2), Fraction(3, 8), Fraction(5, 8)
 
-# Most crossings in one crossing-connected group: `resolve` visits all 2^c
-# smoothings of a group, and a group at the cap is 2^24 states, minutes of
-# CPU.
+# Most crossings in one crossing-connected group: `resolve` counts all 2^c
+# smoothings of a group in 2^(c-1) walks, and a group at the cap is 2^23
+# walks, minutes of CPU.
 STATE_CAP = 24
 
 # Largest board: `resolve` keeps a winding vector of this length per loop
@@ -444,6 +447,18 @@ def _resolve_component(
     Crossing j of the group has the ports 4j + 2*branch + _IN/_OUT, and
     each arc runs from an _OUT port to the next _IN port along its
     polyline.
+
+    The last crossing stays open: the walks visit the 2^(c-1) smoothings
+    of the others, and each tallies both of its own.  With it open, a
+    state's arcs form closed loops and two paths, which end at its ports
+    o = 4(c-1) .. o + 3.  Outside a small disc about the crossing the
+    paths are disjoint, so they cannot join opposite points of its
+    boundary: they pair its ports like one of its smoothings, never
+    straight through.  Path 1 leaves port o (branch 0, _IN), so it ends
+    at a branch 1 port, and path 2 leaves the lowest port left, o + 1.
+    The smoothing that pairs the ports as the paths do closes them into
+    two loops, with windings w1 and w2; the other joins path 1's end to
+    o + 1 and path 2's end to o, one loop of winding w1 + w2.
     """
     n_holes = d.board.n_holes
     if not cross_ids:
@@ -492,28 +507,61 @@ def _resolve_component(
         crossing = d.crossings[k]
         ob = crossing.over_branch
         pairings.append(_smoothing_pairs(crossing.left == (ob == 0), base[k], ob))
+    # Per crossing and smoothing, the four `jump` entries it writes: the
+    # arc that ends at p continues from its partner q.
+    flips = [
+        [[(other_end[x], y) for x, y in ((p, q), (q, p), (r, s), (s, r))] for p, q, r, s in pair]
+        for pair in pairings[:-1]
+    ]
+    o = 4 * (c - 1)
+    p, q, r, s = pairings[-1][0]
+    o_mate = {p: q, q: p, r: s, s: r}[o]  # the port the a-smoothing joins to o
 
     # A state's tally key is one int: its b-count in the lowest digit,
     # then one digit per hole set counting the state's loops around it.
     bits = (2 * c).bit_length()  # a state has at most 2c loops
     unit_of_set: Dict[Component, int] = {}  # hole set -> 1 in its digit
     unit_of: Dict[int, int] = {}  # packed loop winding -> its hole set's unit
+
+    def new_unit(w: int) -> int:
+        comp = _classify_windings(_unpack(w, n_holes, width))
+        unit = unit_of[w] = unit_of_set.setdefault(comp, 1 << bits * (len(unit_of_set) + 1))
+        return unit
+
     tally: Dict[int, int] = {}
-    partner = [0] * (4 * c)
-    for (p, q, r, s), _ in pairings:
-        partner[p], partner[q], partner[r], partner[s] = q, p, s, r
+    # jump[port]: the port entered after the arc entered at `port`, or -1
+    # where that arc ends at the open crossing.
+    jump = [-1] * (4 * c)
+    for a_smoothing, _ in flips:
+        for x, y in a_smoothing:
+            jump[x] = y
     b_count = 0
     seen = [-1] * len(starts)  # seen[arc] == i: arc walked in state i
     # Reflected Gray order: state i differs from state i - 1 only in the
     # smoothing of crossing j, the lowest set bit of i, and bit j of
     # i ^ (i >> 1) is that crossing's new smoothing (1: b).
-    for i in range(1 << c):
+    for i in range(1 << (c - 1)):
         if i:
             j = (i & -i).bit_length() - 1
             smoothing = (i ^ (i >> 1)) >> j & 1
-            p, q, r, s = pairings[j][smoothing]
-            partner[p], partner[q], partner[r], partner[s] = q, p, s, r
+            (x0, y0), (x1, y1), (x2, y2), (x3, y3) = flips[j][smoothing]
+            jump[x0], jump[x1], jump[x2], jump[x3] = y0, y1, y2, y3
             b_count += 2 * smoothing - 1
+        w1 = 0
+        port = o
+        while port >= 0:
+            seen[arc_of[port]] = i
+            w1 += step[port]
+            port = jump[port]
+        # The a-smoothing closes the paths into two loops exactly when
+        # path 1 ends at o_mate, that is when it walked o_mate's arc.
+        split_by_a = seen[arc_of[o_mate]] == i
+        w2 = 0
+        port = o + 1
+        while port >= 0:
+            seen[arc_of[port]] = i
+            w2 += step[port]
+            port = jump[port]
         key = b_count
         for a0, entry in enumerate(starts):
             if seen[a0] == i:
@@ -523,16 +571,18 @@ def _resolve_component(
             while True:
                 seen[arc_of[port]] = i
                 w += step[port]
-                port = partner[other_end[port]]
+                port = jump[port]
                 if port == entry:
                     break
-            unit = unit_of.get(w)
-            if unit is None:
-                comp = _classify_windings(_unpack(w, n_holes, width))
-                unit = unit_of_set.setdefault(comp, 1 << bits * (len(unit_of_set) + 1))
-                unit_of[w] = unit
-            key += unit
-        tally[key] = tally.get(key, 0) + 1
+            key += unit_of.get(w) or new_unit(w)
+        split = key + (unit_of.get(w1) or new_unit(w1)) + (unit_of.get(w2) or new_unit(w2))
+        joined = key + (unit_of.get(w1 + w2) or new_unit(w1 + w2))
+        if split_by_a:
+            joined += 1
+        else:
+            split += 1
+        tally[split] = tally.get(split, 0) + 1
+        tally[joined] = tally.get(joined, 0) + 1
 
     mask = (1 << bits) - 1
     out: Dict[Multicurve, Laurent] = {}

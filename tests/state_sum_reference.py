@@ -8,8 +8,11 @@ It shares the arcs (`geom.arc_windings`) and the loop classification with
 the engine, so it checks the kernel's numbering, packing and tally, not
 the geometry.  Each crossing's orientation is the one exception: it comes
 from the `Fraction` cross product of the branches' edges, not from the
-integer kernel's `Crossing.left`.  It lives apart from `oracles.py`,
-which the benchmark compiles inside its measured process.
+integer kernel's `Crossing.left`.  `open_crossing_pairing` follows the
+paths of a state that leaves one crossing open, to check the planarity
+fact the kernel's open crossing rests on: the paths pair its ports like
+one of its smoothings.  This module lives apart from `oracles.py`, which
+the benchmark compiles inside its measured process.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from oracles import cross, sub
+from geometry_reference import cross, sub
 from skeinlab.geom import Branch, Point, arc_windings
 from skeinlab.ring import ONE, Laurent, accumulate
 from skeinlab.skein import (
@@ -57,17 +60,10 @@ def _smoothing_pairs(d_over, d_under, k: int, ob: int):
     return in_in, in_out
 
 
-def reference_component(
-    d: Diagram, polys: Sequence[int], cross_ids: Sequence[int]
-) -> Dict[Multicurve, Laurent]:
-    """State sum over one crossing-connected group, one state at a time."""
+def _arcs_and_pairings(d: Diagram, polys: Sequence[int], cross_ids: Sequence[int]):
+    """The group's arcs, each port's (arc, +1 at its start / -1 at its end),
+    and each crossing's (a pairs, b pairs)."""
     n_holes = d.board.n_holes
-    if not cross_ids:
-        (pi,) = polys
-        comp = _classify_windings(arc_windings(n_holes, d.polylines[pi], [])[0])
-        return {(comp,): ONE} if comp else {(): MINUS_ALPHA}
-
-    c = len(cross_ids)
     passages: Dict[int, List[Tuple[Fraction, int, int]]] = {pi: [] for pi in polys}
     for k in cross_ids:
         for b, br in enumerate(d.crossings[k].branches):
@@ -93,7 +89,21 @@ def reference_component(
         d_over = _branch_direction(d.polylines, crossing.branches[ob])
         d_under = _branch_direction(d.polylines, crossing.branches[1 - ob])
         pairings.append(_smoothing_pairs(d_over, d_under, k, ob))
+    return arcs, arc_at, pairings
 
+
+def reference_component(
+    d: Diagram, polys: Sequence[int], cross_ids: Sequence[int]
+) -> Dict[Multicurve, Laurent]:
+    """State sum over one crossing-connected group, one state at a time."""
+    n_holes = d.board.n_holes
+    if not cross_ids:
+        (pi,) = polys
+        comp = _classify_windings(arc_windings(n_holes, d.polylines[pi], [])[0])
+        return {(comp,): ONE} if comp else {(): MINUS_ALPHA}
+
+    c = len(cross_ids)
+    arcs, arc_at, pairings = _arcs_and_pairings(d, polys, cross_ids)
     out: Dict[Multicurve, Laurent] = {}
     for state in range(1 << c):
         partner: Dict[Port, Port] = {}
@@ -134,6 +144,39 @@ def reference_component(
             raise AssertionError(f"state produced non-laminar family {comps}")
         accumulate(out, tuple(sorted(comps)), coeff)
     return out
+
+
+def open_crossing_pairing(
+    d: Diagram, polys: Sequence[int], cross_ids: Sequence[int], open_index: int, state: int
+):
+    """How the paths of a partial state pair the ports of the open crossing.
+
+    Every crossing of the group but cross_ids[open_index] is smoothed by
+    bit j of `state` (1: b), and the path that leaves each of the open
+    crossing's four ports is followed to the port where it arrives.
+    Returns (the paths' pairing, (a pairing, b pairing)) of that crossing,
+    each a frozenset of two-port frozensets.
+    """
+    arcs, arc_at, pairings = _arcs_and_pairings(d, polys, cross_ids)
+    partner: Dict[Port, Port] = {}
+    for bit, (a_pairs, b_pairs) in enumerate(pairings):
+        if bit != open_index:
+            for p1, p2 in (b_pairs if (state >> bit) & 1 else a_pairs):
+                partner[p1] = p2
+                partner[p2] = p1
+    k = cross_ids[open_index]
+    paths = set()
+    for start in [(k, b, e) for b in (0, 1) for e in (_IN, _OUT)]:
+        port = start
+        while True:
+            ai, sign = arc_at[port]
+            end = arcs[ai].end if sign > 0 else arcs[ai].start
+            if end not in partner:
+                break
+            port = partner[end]
+        paths.add(frozenset((start, end)))
+    smoothings = tuple(frozenset(map(frozenset, pairs)) for pairs in pairings[open_index])
+    return frozenset(paths), smoothings
 
 
 def reference_groups(d: Diagram) -> List[Dict[Multicurve, Laurent]]:

@@ -10,7 +10,9 @@ CPython 3.11.7, and another libm may round differently.  The 3-hole
 diagrams are committed next to the outputs: `a3` encloses holes 1 and 3,
 `b3` holes 1 and 2, `ab3` is `a3` stacked on `b3` (4 crossings), and
 `kink3` is `a3` with one positive curl, so its value shows the smoothing
-orientation: -q^{3/2} times `a3`.
+orientation: -q^{3/2} times `a3`.  The 5-hole pair `a5` = {1|2,3,4,5|3,4}
+and `b5` = {1,2,3,5|2,3,5|4} is a paper-scale product: its stacking
+diagram is one group of 16 crossings.
 
 After a deliberate output change, rewrite the files with
 
@@ -40,6 +42,7 @@ CASES = [
     ("resolve_kink3.txt", ["skein", "resolve", str(GOLDEN / "kink3.diagram")]),
     ("multiply_kink3_b3.txt", ["skein", "multiply", str(GOLDEN / "kink3.diagram"), str(GOLDEN / "b3.diagram")]),
     ("multiply_b3_a3.txt", ["skein", "multiply", str(GOLDEN / "b3.diagram"), str(GOLDEN / "a3.diagram")]),
+    ("multiply_a5_b5.txt", ["skein", "multiply", str(GOLDEN / "a5.diagram"), str(GOLDEN / "b5.diagram")]),
     ("resolve_r2poked.txt", ["skein", "resolve", f"{FIXTURES}/r2poked.diagram"]),
     ("multiply_r2poked.txt", ["skein", "multiply", f"{FIXTURES}/r2poked.diagram", f"{FIXTURES}/r2poked.diagram"]),
     ("verify_fixture.txt", ["skein", "verify-fixture", FIXTURES]),

@@ -10,25 +10,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (
-    all_laminar_multisets,
+from geometry_reference import (
     arc_points,
     fraction_find_crossings,
+    path_winding,
+    point_segment_dist2,
+    segment_intersection,
+    winding_contribution,
+)
+from oracles import (
+    all_laminar_multisets,
     naive_epsilon,
     naive_resolve,
     naive_specialized_resolve,
-    path_winding,
-    point_segment_dist2,
     r1_kinked,
     r2_poked,
     random_diagrams,
     random_unimodular,
-    segment_intersection,
     spans_interleave,
-    winding_contribution,
 )
 from layout_reference import reference_bands
-from state_sum_reference import reference_groups
+from state_sum_reference import open_crossing_pairing, reference_groups
 from skeinlab.geom import arc_windings, find_crossings
 from skeinlab.ncrewrite import collar_algebra
 from skeinlab.ring import Laurent
@@ -532,6 +534,7 @@ def test_r3_diagrams_match_naive_enumeration():
 # Integer state kernel against the port-dict state loop
 
 PRODUCTS_5H = Path(__file__).resolve().parent.parent / "perfbench" / "products_5h.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _assert_kernel_matches_reference(d):
@@ -546,7 +549,8 @@ def _assert_kernel_matches_reference(d):
     ], render_diagram(d)
 
 
-def test_state_kernel_matches_reference_on_products_5h_basis_pairs():
+def _products_5h_overlays():
+    """Stacking diagrams of the 14 products-5h pairs of basis elements."""
     spec = json.loads(PRODUCTS_5H.read_text(encoding="utf-8"))
     board = Board(spec["n_holes"])
     pairs = [
@@ -555,8 +559,12 @@ def test_state_kernel_matches_reference_on_products_5h_basis_pairs():
         if len(p["a"]) == 1 and len(p["b"]) == 1
     ]
     assert len(pairs) == 14
-    for ma, mb in pairs:
-        _assert_kernel_matches_reference(stacking_diagram(ma, mb, board))
+    return [stacking_diagram(ma, mb, board) for ma, mb in pairs]
+
+
+def test_state_kernel_matches_reference_on_products_5h_basis_pairs():
+    for d in _products_5h_overlays():
+        _assert_kernel_matches_reference(d)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -564,6 +572,33 @@ def test_state_kernel_matches_reference_on_ladder(k):
     d = stacking_diagram(((1, 3),) * k, ((1, 2),) * k, Board(3))
     assert len(d.crossings) == {1: 4, 2: 12}[k]
     _assert_kernel_matches_reference(d)
+
+
+def test_state_kernel_matches_reference_on_a_one_crossing_group():
+    # The curl of `kink3` is a group of c = 1: one walk, no flip, and the
+    # open crossing's two smoothings give both states.
+    d = parse_diagram((GOLDEN / "kink3.diagram").read_text(encoding="utf-8"))
+    assert [len(cross_ids) for _, cross_ids in skein._crossing_groups(d)] == [1]
+    _assert_kernel_matches_reference(d)
+
+
+def test_open_crossing_paths_pair_its_ports_like_a_smoothing():
+    # The kernel leaves a group's last crossing open and closes its two
+    # paths by its two smoothings only, with no straight-through case.
+    # Here every crossing in turn is left open under a seeded random state
+    # of the others, on the products-5h overlays and random diagrams.
+    rng = random.Random(2024)
+    seen = [0, 0]  # partial states whose paths pair like the a / b smoothing
+    for d in _products_5h_overlays() + [
+        d for seed in range(20) for d in random_diagrams(seed=seed, count=3)
+    ]:
+        for polys, cross_ids in skein._crossing_groups(d):
+            for open_index in range(len(cross_ids)):
+                state = rng.getrandbits(len(cross_ids))
+                paths, smoothings = open_crossing_pairing(d, polys, cross_ids, open_index, state)
+                assert paths in smoothings, render_diagram(d)
+                seen[smoothings.index(paths)] += 1
+    assert min(seen) > 100, seen
 
 
 @settings(max_examples=20, deadline=None)
