@@ -14,7 +14,8 @@ feed the rewriting verifiers.  Everything is exact and memoized.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import cache
+from typing import List
 
 from .ring import Q_PLUS_QINV, CPoly, Laurent, q_power_diff
 
@@ -26,10 +27,10 @@ _X = CPoly.variable("x", VARS_X)
 # x^2 - (q + 1/q)^2, the exact divisor used by the closed summation form.
 _X2_MINUS_LOOP2 = _X * _X - CPoly.constant(Q_PLUS_QINV**2, VARS_X)
 
+# The two families grow as lists, by iteration: a cached recursion would
+# exceed the interpreter's recursion limit near n = 1000.
 _sine_cache: List[CPoly] = [CPoly.zero(VARS_X), CPoly.one(VARS_X)]
 _cosine_cache: List[CPoly] = [CPoly.constant(2, VARS_X), _X]
-_qdiff_cache: Dict[int, CPoly] = {}
-_boundary_cache: Dict[int, CPoly] = {}
 
 
 def cheb_sine(n: int) -> CPoly:
@@ -52,19 +53,16 @@ def cheb_cosine(n: int) -> CPoly:
     return _cosine_cache[n]
 
 
+@cache
 def qdiff_sine_sum(n: int) -> CPoly:
     """Sum of (q^k - q^-k) * cheb_sine(k) over k = n-1, n-3, ..., ending at
     1 or 2.  Zero for n < 2."""
     if n < 0:
         raise ValueError("defined for n >= 0")
-    cached = _qdiff_cache.get(n)
-    if cached is not None:
-        return cached
     total = CPoly.zero(VARS_X)
     for j in range(n // 2):
         k = n - 1 - 2 * j
         total = total + cheb_sine(k) * q_power_diff(k)
-    _qdiff_cache[n] = total
     return total
 
 
@@ -85,6 +83,7 @@ def qweighted_cosine(n: int) -> CPoly:
     return cheb_sine(n + 1) * Laurent.q_power(2 * n) - cheb_sine(n - 1) * Laurent.q_power(-2 * n)
 
 
+@cache
 def boundary_form(n: int) -> CPoly:
     """Boundary-weighted kernel in (x, r) extracted from the n-th element.
 
@@ -95,15 +94,10 @@ def boundary_form(n: int) -> CPoly:
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
-    cached = _boundary_cache.get(n)
-    if cached is not None:
-        return cached
     prefix = qdiff_sine_sum(n - 1) + qdiff_sine_sum(n)
     r_part = (cheb_sine(n) * Laurent.q_power(n) + prefix).extend(VARS_XR)
     const_part = (
         cheb_sine(n + 1) * Laurent.q_power(n)
         + cheb_sine(n - 1) * Laurent.q_power(-n)
     ).extend(VARS_XR)
-    result = r_part * CPoly.variable("r", VARS_XR) - const_part
-    _boundary_cache[n] = result
-    return result
+    return r_part * CPoly.variable("r", VARS_XR) - const_part

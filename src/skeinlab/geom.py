@@ -12,6 +12,7 @@ diagram pipeline.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -24,6 +25,8 @@ Branch = Tuple[int, int, Fraction]  # (polyline index, segment index, parameter)
 Contact = Tuple[Point, Branch, Branch, bool]
 
 HOLE_RADIUS = Fraction(1, 4)
+# No `over :` token can name a curve whose id holds whitespace.
+_WHITESPACE = re.compile(r"\s")
 
 
 class DiagramError(InputError):
@@ -51,6 +54,9 @@ def find_crossings(
         raise DiagramError("curve id list does not match polyline list")
     if len(set(ids)) != len(ids):
         raise DiagramError("duplicate curve id")
+    for name in ids:
+        if _WHITESPACE.search(name):
+            raise DiagramError(f"curve id '{name}' contains whitespace")
     scale = math.lcm(
         HOLE_RADIUS.denominator, *{c.denominator for poly in polylines for p in poly for c in p}
     )

@@ -22,7 +22,7 @@ On top of the engine sit three exact verifiers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .cheby import (
@@ -99,7 +99,6 @@ class NcAlgebraSpec:
                         f"rule for ({a}, {b}) is not order-decreasing at {word}"
                     )
             self.rules[(a, b)] = [(c, tuple(w)) for c, w in replacement]
-        self._products: Dict[Tuple[int, Word], Dict[Word, Laurent]] = {}
 
     def index(self, name: str) -> int:
         return self.generators.index(name)
@@ -119,7 +118,8 @@ class NcAlgebraSpec:
         rest, built letter by letter from the right.
 
         ``memo`` maps suffixes to their normal forms; pass one dict to
-        share suffixes between the words of one element.
+        share suffixes between the words of one element.  It is the only
+        store: the spec keeps nothing after the call returns.
         """
         memo = {} if memo is None else memo
         memo.setdefault((), {(): ONE})
@@ -130,36 +130,29 @@ class NcAlgebraSpec:
         return nf
 
     def _left_multiply(self, g: int, nf: Mapping[Word, Laurent]) -> Dict[Word, Laurent]:
-        """g times a combination of normal words, normalized."""
+        """g times a combination of normal words, normalized.  A central g
+        joins each word's sorted tail; otherwise only the pair (g, v[0]) of
+        a word v can be reducible, and its replacement is folded in from
+        the right onto the normal suffix v[1:]."""
         out: Dict[Word, Laurent] = {}
         for v, c in nf.items():
-            for w, d in self._letter_times(g, v).items():
-                accumulate(out, w, c * d)
-        return out
-
-    def _letter_times(self, g: int, v: Word) -> Mapping[Word, Laurent]:
-        """g times the normal word v.  A central g joins v's sorted tail.
-        Otherwise only the pair (g, v[0]) can be reducible; its replacement
-        is folded in from the right onto the normal suffix v[1:].  Results
-        of rule applications are memoized."""
-        if g in self.central:
-            i = len(v)
-            while i and v[i - 1] > g and v[i - 1] in self.central:
-                i -= 1
-            return {v[:i] + (g,) + v[i:]: ONE}
-        rule = self.rules.get((g, v[0])) if v else None
-        if rule is None:
-            return {(g,) + v: ONE}
-        out = self._products.get((g, v))
-        if out is None:
-            out = {}
+            if g in self.central:
+                i = len(v)
+                while i and v[i - 1] > g and v[i - 1] in self.central:
+                    i -= 1
+                accumulate(out, v[:i] + (g,) + v[i:], c)
+                continue
+            rule = self.rules.get((g, v[0])) if v else None
+            if rule is None:
+                accumulate(out, (g,) + v, c)
+                continue
             for coeff, repl in rule:
                 part: Mapping[Word, Laurent] = {v[1:]: ONE}
                 for letter in reversed(repl):
                     part = self._left_multiply(letter, part)
-                for w, c in part.items():
-                    accumulate(out, w, coeff * c)
-            self._products[(g, v)] = out
+                scale = c * coeff
+                for w, d in part.items():
+                    accumulate(out, w, scale * d)
         return out
 
 
@@ -226,7 +219,7 @@ class NcElement(Combination):
 # -- concrete presentations ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def collar_algebra() -> NcAlgebraSpec:
     """Five generators t1 < l1 < c < cp < x, with c and cp central.
 
@@ -251,7 +244,7 @@ def collar_algebra() -> NcAlgebraSpec:
     return NcAlgebraSpec("collar", ("t1", "l1", "c", "cp", "x"), rules, ("c", "cp"))
 
 
-@lru_cache(maxsize=None)
+@cache
 def exterior_algebra() -> NcAlgebraSpec:
     """Five generators l1 < l1p < t < r < x, with the boundary generator r
     central.

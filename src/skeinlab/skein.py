@@ -312,7 +312,9 @@ def parse_diagram(text: str) -> Diagram:
             except ValueError as exc:
                 raise DiagramError(f"line {ln}: bad hole count ({exc})") from None
             continue
-        if line.startswith("curve"):
+        # The keyword is the whole first token, ended by whitespace or ':'.
+        keyword = line.partition(":")[0].split()[:1]
+        if keyword == ["curve"]:
             body = line[len("curve"):]
             if ":" not in body:
                 raise DiagramError(f"line {ln}: curve line needs ':'")
@@ -350,7 +352,7 @@ def parse_diagram(text: str) -> Diagram:
             ids.append(name)
             polylines.append(pts)
             continue
-        if line.startswith("over"):
+        if keyword == ["over"]:
             if over is not None:
                 raise DiagramError(f"line {ln}: duplicate 'over' line")
             body = line[len("over"):].strip()

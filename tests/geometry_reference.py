@@ -144,6 +144,9 @@ def fraction_find_crossings(
         raise DiagramError("curve id list does not match polyline list")
     if len(set(ids)) != len(ids):
         raise DiagramError("duplicate curve id")
+    for name in ids:
+        if any(ch.isspace() for ch in name):
+            raise DiagramError(f"curve id '{name}' contains whitespace")
     segments = [
         [(poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))]
         for poly in polylines

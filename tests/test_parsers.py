@@ -184,3 +184,24 @@ def test_parse_diagram_rejects_coordinates_outside_the_grammar(x):
     text = "board holes=1\ncurve a : (" + x + ",3) (2,3) (2,4)\nover :\n"
     with pytest.raises(DiagramError, match=re.escape(f"line 2: bad rational in '({x},3)'")):
         parse_diagram(text)
+
+
+_UNIT_SQUARE = "(0,-1) (2,-1) (2,1) (0,1)"
+
+
+def test_parse_diagram_reads_keywords_as_whole_tokens():
+    # A prefix match would read `curves a` as a curve with id `s a`.
+    text = f"board holes=1\ncurves a : {_UNIT_SQUARE}\nover :\n"
+    with pytest.raises(DiagramError, match=re.escape("line 2: unrecognized line 'curves a")):
+        parse_diagram(text)
+
+
+def test_curve_ids_with_whitespace_are_rejected():
+    # No over token can name such an id, so a crossing on it could not be
+    # written back and read again.
+    text = f"board holes=1\ncurve a b : {_UNIT_SQUARE}\nover :\n"
+    with pytest.raises(DiagramError, match=re.escape("line 2: curve id 'a b' contains whitespace")):
+        parse_diagram(text)
+    square = [(Fraction(x), Fraction(y)) for x, y in ((0, -1), (2, -1), (2, 1), (0, 1))]
+    with pytest.raises(DiagramError, match="contains whitespace"):
+        Diagram.from_over_rule(Board(1), [square], ["a\tb"], lambda *_: 0)
