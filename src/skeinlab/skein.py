@@ -16,13 +16,15 @@ and two paths through the open crossing, and its two smoothings close
 those paths into two loops or one, so each walk counts two states.  A
 memo keyed by packed winding gives each loop's hole set, and each state
 is counted under one int key: its number of b-smoothings, plus one digit
-per hole set counting its loops around that set.  The Laurent scalars
-are built once per key, after the walks.
+per hole set counting its loops around that set.  After the walks, the
+keys with the same loop digits add their counts into one int
+h-polynomial, so one Laurent scalar is built per loop pattern.
 
 Canonical diagrams are laid out on ints too: each coordinate of a
 multicurve's bands is a whole numerator over one denominator that the
 sibling counts of its laminar forest fix in advance, and becomes a
-`Fraction` once, at the end.
+`Fraction` once, at the end.  A product's overlay lays both factors on
+one such grid, the second scaled in whole numerators.
 
 All geometry is exact (see :mod:`skeinlab.geom`); scalars live in the
 half-integer Laurent ring of :mod:`skeinlab.ring`.
@@ -586,15 +588,26 @@ def _resolve_component(
         tally[split] = tally.get(split, 0) + 1
         tally[joined] = tally.get(joined, 0) + 1
 
+    # One h-polynomial per loop pattern, the key's digits above its b-count.
     mask = (1 << bits) - 1
-    out: Dict[Multicurve, Laurent] = {}
+    polys_of: Dict[int, Dict[int, int]] = {}
     for key, count in tally.items():
-        loops = [hs for hs, unit in unit_of_set.items() for _ in range(key // unit & mask)]
+        polys_of.setdefault(key >> bits, {})[c - 2 * (key & mask)] = count
+    hole_sets = list(unit_of_set)
+    laminar = set()
+    alpha_powers = [ONE]
+    out: Dict[Multicurve, Laurent] = {}
+    for pattern, poly in polys_of.items():
+        loops = [hs for i, hs in enumerate(hole_sets) for _ in range(pattern >> bits * i & mask)]
         m = tuple(sorted(hs for hs in loops if hs))
-        if not is_laminar(m):
-            raise AssertionError(f"state produced non-laminar family {m}")
-        scalar = Laurent.h_power(c - 2 * (key & mask), count) * MINUS_ALPHA ** (len(loops) - len(m))
-        accumulate(out, m, scalar)
+        if m not in laminar:
+            if not is_laminar(m):
+                raise AssertionError(f"state produced non-laminar family {m}")
+            laminar.add(m)
+        trivial = len(loops) - len(m)
+        while len(alpha_powers) <= trivial:
+            alpha_powers.append(alpha_powers[-1] * MINUS_ALPHA)
+        accumulate(out, m, Laurent._of(poly) * alpha_powers[trivial])
     return out
 
 
@@ -734,8 +747,12 @@ def _layout_den(nodes: List[_Node]) -> int:
     return 4 * math.lcm(*range(2, len(nodes) + 2)) * math.lcm(*kids) if nodes else 1
 
 
-def _canonical_bands(m: Iterable[Iterable[int]], board: Board) -> List[List[Point]]:
-    """Polylines of the canonical layout of a multicurve, outermost first.
+def _canonical_bands(
+    m: Iterable[Iterable[int]], board: Board
+) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """The canonical layout of a multicurve: one denominator, and the
+    whole numerators over it of the polylines' coordinates, outermost
+    first.  `_fraction_polys` turns them into points.
 
     Each component becomes an x-monotone closed band: horizontal top and
     bottom profiles constant near each hole column, joined by vertical
@@ -756,16 +773,21 @@ def _canonical_bands(m: Iterable[Iterable[int]], board: Board) -> List[List[Poin
     for s in range(1, board.n_holes + 1):
         _place_kids(roots, s, -half, half, pin)
     exts = [radius + (total - k) * cap for k in range(total)]
-    polys = [_node_polyline(node, den, ext, q38, q58) for node, ext in zip(order, exts)]
+    return den, [_node_polyline(node, den, ext, q38, q58) for node, ext in zip(order, exts)]
+
+
+def _fraction_polys(den: int, polys: Sequence[Sequence[Tuple[int, int]]]) -> List[Sequence[Point]]:
+    """Polylines of whole numerators over `den` as `Fraction` points, one
+    `Fraction` made per distinct numerator."""
     frac = {v: Fraction(v, den) for v in {v for poly in polys for p in poly for v in p}}
-    return [[(frac[x], frac[y]) for x, y in poly] for poly in polys]
+    return [tuple((frac[x], frac[y]) for x, y in poly) for poly in polys]
 
 
 def canonical_diagram(m: Iterable[Iterable[int]], board: Board) -> Diagram:
     """Crossingless diagram resolving to exactly 1 times the multicurve,
     with the bands of `_canonical_bands`.  They are disjoint by
     construction, so no crossing search is run."""
-    polys = [tuple(p) for p in _canonical_bands(m, board)]
+    polys = _fraction_polys(*_canonical_bands(m, board))
     d = Diagram.__new__(Diagram)
     d._build(board, polys, [f"k{i}" for i in range(len(polys))], [], [])
     return d
@@ -778,7 +800,6 @@ _PERTURB_PRIMES = (
     1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049,
     1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097,
 )
-_STACK_CENTER = (Fraction(1, 2), Fraction(1, 3))
 
 
 def stacking_diagram(ma: Multicurve, mb: Multicurve, board: Board) -> Diagram:
@@ -786,15 +807,18 @@ def stacking_diagram(ma: Multicurve, mb: Multicurve, board: Board) -> Diagram:
 
     When the combined family is already laminar the joint canonical
     diagram is crossing-free and used directly.  Otherwise the second
-    factor is scaled by 1 + 1/p about a fixed off-grid center for
-    successive primes p until the overlay is in general position; every
-    crossing is decorated first-factor-over-second.
+    factor is scaled by 1 + 1/p about (1/2, 1/3), that is x -> (2(p+1)x -
+    1)/(2p) and y -> (3(p+1)y - 1)/(3p), for successive primes p until the
+    overlay is in general position; every crossing is decorated
+    first-factor-over-second.  Both layers are laid on one integer grid,
+    of denominator lcm(den_a, 6 p den_b) for the factors' layout
+    denominators, and become `Fraction`s once.
     """
     union = tuple(sorted(ma + mb))
     if is_laminar(union):
         return canonical_diagram(union, board)
-    bands_a = _canonical_bands(ma, board)
-    bands_b = _canonical_bands(mb, board)
+    den_a, bands_a = _canonical_bands(ma, board)
+    den_b, bands_b = _canonical_bands(mb, board)
     n_a = len(bands_a)
     ids = [f"a{i}" for i in range(n_a)] + [f"b{i}" for i in range(len(bands_b))]
 
@@ -807,17 +831,16 @@ def stacking_diagram(ma: Multicurve, mb: Multicurve, board: Board) -> Diagram:
             )
         return 0 if first_is_a else 1
 
-    cx, cy = _STACK_CENTER
     last_error: Optional[Exception] = None
     for p in _PERTURB_PRIMES:
-        scale = 1 + Fraction(1, p)
-        polys: List[Sequence[Point]] = list(bands_a)
-        for poly in bands_b:
-            polys.append(
-                tuple((cx + scale * (x - cx), cy + scale * (y - cy)) for x, y in poly)
-            )
+        den = math.lcm(den_a, 6 * p * den_b)
+        ka, kx, ky = den // den_a, den // (2 * p * den_b), den // (3 * p * den_b)
+        polys = [[(ka * x, ka * y) for x, y in poly] for poly in bands_a] + [
+            [((2 * (p + 1) * x - den_b) * kx, (3 * (p + 1) * y - den_b) * ky) for x, y in poly]
+            for poly in bands_b
+        ]
         try:
-            return Diagram.from_over_rule(board, polys, ids, a_over)
+            return Diagram.from_over_rule(board, _fraction_polys(den, polys), ids, a_over)
         except DiagramError as exc:
             last_error = exc
     raise DiagramError(

@@ -4,8 +4,12 @@
 it moved to integer numerators over one denominator per multicurve.
 Every coordinate here is a `Fraction`, reduced after each step.  It
 shares the laminar forest (`skein._laminar_forest`) with the engine, so
-it checks the layout's arithmetic, not the nesting.  It lives apart from
-`oracles.py`, which the benchmark compiles inside its measured process.
+it checks the layout's arithmetic, not the nesting.  `reference_overlay`
+is the overlay `skein.stacking_diagram` drew before it moved to one
+integer grid: the second factor's bands scaled by 1 + 1/p about
+(1/2, 1/3), one `Fraction` operation at a time.  This module lives apart
+from `oracles.py`, which the benchmark compiles inside its measured
+process.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ from skeinlab.skein import Board, _laminar_forest, _Node, canonical_multicurve
 
 _PIN = Fraction(5, 16)
 _HALF = Fraction(1, 2)
+_STACK_CENTER = (Fraction(1, 2), Fraction(1, 3))
 
 
 def _place_kids(
@@ -93,4 +98,17 @@ def reference_bands(m: Iterable[Iterable[int]], board: Board) -> List[Tuple[Poin
     return [
         tuple(_node_polyline(node, Fraction(total - k, 8 * (total + 1))))
         for k, node in enumerate(order)
+    ]
+
+
+def reference_overlay(
+    ma: Iterable[Iterable[int]], mb: Iterable[Iterable[int]], board: Board, p: int
+) -> List[Tuple[Point, ...]]:
+    """The polylines of the stacking overlay of `ma` over `mb` at the
+    prime `p`: `ma`'s bands, then `mb`'s scaled by 1 + 1/p."""
+    cx, cy = _STACK_CENTER
+    scale = 1 + Fraction(1, p)
+    return reference_bands(ma, board) + [
+        tuple((cx + scale * (x - cx), cy + scale * (y - cy)) for x, y in poly)
+        for poly in reference_bands(mb, board)
     ]

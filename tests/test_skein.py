@@ -29,7 +29,7 @@ from oracles import (
     random_unimodular,
     spans_interleave,
 )
-from layout_reference import reference_bands
+from layout_reference import reference_bands, reference_overlay
 from state_sum_reference import open_crossing_pairing, reference_groups
 from skeinlab.geom import arc_windings, find_crossings
 from skeinlab.ncrewrite import collar_algebra
@@ -549,8 +549,8 @@ def _assert_kernel_matches_reference(d):
     ], render_diagram(d)
 
 
-def _products_5h_overlays():
-    """Stacking diagrams of the 14 products-5h pairs of basis elements."""
+def _products_5h_pairs():
+    """The board and the 14 products-5h pairs of basis elements."""
     spec = json.loads(PRODUCTS_5H.read_text(encoding="utf-8"))
     board = Board(spec["n_holes"])
     pairs = [
@@ -559,6 +559,12 @@ def _products_5h_overlays():
         if len(p["a"]) == 1 and len(p["b"]) == 1
     ]
     assert len(pairs) == 14
+    return board, pairs
+
+
+def _products_5h_overlays():
+    """Stacking diagrams of the 14 products-5h pairs of basis elements."""
+    board, pairs = _products_5h_pairs()
     return [stacking_diagram(ma, mb, board) for ma, mb in pairs]
 
 
@@ -736,7 +742,34 @@ def _deep_laminar(draw, n_holes=7, max_comps=8):
 def test_integer_layout_matches_fraction_reference_deep(m):
     # deeper nesting than the 4-component exhaustive test reaches
     board = Board(7)
-    assert [tuple(p) for p in skein._canonical_bands(m, board)] == reference_bands(m, board)
+    polylines = canonical_diagram(m, board).polylines
+    assert list(polylines) == reference_bands(m, board)
+    assert all(type(c) is F for poly in polylines for p in poly for c in p), m
+
+
+@pytest.mark.parametrize("prime", [1009, 1013, 1097])
+def test_integer_overlay_matches_fraction_reference(monkeypatch, prime):
+    # One prime at a time: the first is the overlay's usual one, and the
+    # others are the arithmetic its general-position retries run.
+    monkeypatch.setattr(skein, "_PERTURB_PRIMES", (prime,))
+    board5, pairs5 = _products_5h_pairs()
+    cases = [(board5, ma, mb) for ma, mb in pairs5]
+    rng = random.Random(f"overlay-{prime}")
+    for n_holes in (3, 4, 5):
+        board = Board(n_holes)
+        for _ in range(30):
+            ma = _random_laminar(rng, n_holes, rng.randint(1, 4))
+            mb = _random_laminar(rng, n_holes, rng.randint(1, 4))
+            cases.append((board, ma, mb))
+    overlays = 0
+    for board, ma, mb in cases:
+        if is_laminar(ma + mb):
+            continue
+        d = stacking_diagram(ma, mb, board)
+        assert list(d.polylines) == reference_overlay(ma, mb, board, prime), (ma, mb)
+        assert all(type(c) is F for poly in d.polylines for p in poly for c in p)
+        overlays += 1
+    assert overlays >= 40, overlays
 
 
 def test_interleaved_components_stay_disjoint():
